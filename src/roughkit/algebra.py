@@ -8,10 +8,12 @@ convolution (concatenation) product on the dual, group-like elements
 (truncated characters), their exp/log, and the deshuffle combinatorics used
 by controlled-path composition and derived vector fields.
 
-Scalars are double-precision floats; algebraic identities are validated to
-tolerance by the callers (exact rationals are out of scope).  All objects
-are immutable values after construction and all operations are pure, so
-everything here may be shared freely between threads.
+Tensors are dense float64 arrays over the canonical word order, and the
+products are gather-multiply-sum kernels over index tables compiled once
+per (d, N); they accept a leading batch axis.  Algebraic identities are
+validated to tolerance by the callers (exact rationals are out of scope).
+All objects are immutable values after construction and all operations are
+pure, so everything here may be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import json
 import math
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 
 class Word:
@@ -216,43 +220,152 @@ def deshuffles(w: Word, k: int) -> DeshuffleTable:
 
 
 # ---------------------------------------------------------------------------
+# Dense layout and compiled index tables.
+#
+# A tensor is one float64 array over ``words_up_to(d, N)``: the word w sits
+# at its level offset Σ_{k<|w|} d^k plus its base-d rank.  Each product is
+# a gather, a multiply and a scatter-add over index tables compiled once
+# per (d, N).  The kernels act on the last axis, so a leading batch axis
+# passes through.
+# ---------------------------------------------------------------------------
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _letter_index(d: int, level: int) -> dict[tuple[int, ...], int]:
+    """Dense index of each word, keyed by its letters."""
+    return {w.letters: i for i, w in enumerate(words_up_to(d, level))}
+
+
+@lru_cache(maxsize=None)
+def _lengths(d: int, level: int) -> np.ndarray:
+    """Word length per dense index."""
+    return _frozen(np.repeat(np.arange(level + 1), [d**p for p in range(level + 1)]))[0]
+
+
+def _size(d: int, level: int) -> int:
+    return len(_lengths(d, level))
+
+
+@lru_cache(maxsize=None)
+def _product_table(d: int, level: int, shuffled: bool) -> tuple[np.ndarray, ...]:
+    """(w, u, v, m) with e_u·e_v = Σ m e_w for the concatenation or the
+    shuffle product, over basis pairs with |u|+|v| <= N in canonical pair
+    order; a convolution thus sums each w over |u| ascending."""
+    words = words_up_to(d, level)
+    index = _letter_index(d, level)
+    terms = [
+        (index[w], i, j, m)
+        for i, u in enumerate(words)
+        for j, v in enumerate(words)
+        if len(u) + len(v) <= level
+        for w, m in (_shuffle_words(u.letters, v.letters) if shuffled else {u.letters + v.letters: 1}).items()
+    ]
+    w, u, v, m = (np.asarray(c) for c in zip(*terms))
+    return _frozen(w, u, v, m.astype(float))
+
+
+@lru_cache(maxsize=None)
+def _antipode_table(d: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, sign): ⟨S a, e_w⟩ = (−1)^{|w|} ⟨a, e_{reversed w}⟩."""
+    index = _letter_index(d, level)
+    source = np.asarray([index[w.letters[::-1]] for w in words_up_to(d, level)])
+    return _frozen(source, 1.0 - 2.0 * (_lengths(d, level) % 2))
+
+
+@lru_cache(maxsize=None)
+def _character_table(d: int, level: int):
+    """Pairs (u, v) of non-empty words, u <= v in canonical order, with
+    |u|+|v| <= N, and the shuffle support of each: (pairs, u, v, w, m, pair
+    of each support term)."""
+    w, u, v, m = _product_table(d, level, True)
+    keep = (u > 0) & (u <= v)
+    w, u, v, m = w[keep], u[keep], v[keep], m[keep]
+    starts_pair = np.diff(u * _size(d, level) + v, prepend=-1) != 0
+    first = np.flatnonzero(starts_pair)
+    words = words_up_to(d, level)
+    pairs = tuple((words[i], words[j]) for i, j in zip(u[first].tolist(), v[first].tolist()))
+    return (pairs,) + _frozen(u[first], v[first], w, m, np.cumsum(starts_pair) - 1)
+
+
+def _cols(x: np.ndarray, idx) -> np.ndarray:
+    """``x[..., idx]`` for a single tensor or a batch; the Ellipsis form
+    costs several times more on the small arrays of the hot paths."""
+    return x[idx] if x.ndim == 1 else x[:, idx]
+
+
+def _scatter_sum(terms: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
+    """out[..., k] = Σ terms[..., t] over target[t] == k, accumulated in
+    table order (so results do not depend on the batch shape)."""
+    if terms.ndim == 1:
+        return np.bincount(target, weights=terms, minlength=n)
+    rows = len(terms)
+    flat = (target + n * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, weights=terms.ravel(), minlength=rows * n).reshape(rows, n)
+
+
+def _product(x: np.ndarray, y: np.ndarray, d: int, level: int, shuffled: bool) -> np.ndarray:
+    w, u, v, m = _product_table(d, level, shuffled)
+    terms = _cols(x, u) * _cols(y, v)
+    return _scatter_sum(terms * m if shuffled else terms, w, _size(d, level))
+
+
+def _unit_gap(x: np.ndarray) -> float:
+    """Largest |⟨g, 𝟙⟩ − 1| over a single tensor or a batch."""
+    return abs(x[0] - 1.0) if x.ndim == 1 else float(np.abs(x[:, 0] - 1.0).max(initial=0.0))
+
+
+def _scalar(x):
+    """A Python float for an unbatched result, the array otherwise."""
+    return float(x) if x.ndim == 0 else x
+
+
+# ---------------------------------------------------------------------------
 # Truncated tensors.
 # ---------------------------------------------------------------------------
 
 class TruncatedTensor:
-    """Element of the step-N truncated tensor algebra, as a sparse map.
+    """Element of the step-N truncated tensor algebra, stored densely.
 
-    ``coeffs`` maps words of length <= ``level`` to float coefficients;
-    absent words are zero.  The same representation serves elements of H_N
-    and of its dual H_N* (the pairing is the sparse dot product), which is
-    convenient if not algebraically fussy.
+    ``array`` holds one float64 coefficient per word of length <= ``level``
+    in canonical (length, lex) order; absent words are zero.  It may carry a
+    leading batch axis, shape (B, size): the module's products then act row
+    by row and coefficient reads return one value per row.  The same
+    representation serves elements of H_N and of its dual H_N* (the pairing
+    is the dot product), which is convenient if not algebraically fussy.
     """
 
-    __slots__ = ("dim", "level", "_coeffs")
+    __slots__ = ("dim", "level", "array")
 
     def __init__(self, dim: int, level: int, coeffs: dict[Word, float] | None = None):
-        if dim < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {dim}")
-        if level < 0:
-            raise ValueError(f"truncation level must be >= 0, got {level}")
-        clean: dict[Word, float] = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                if len(w) > level:
-                    raise ValueError(f"word {w} exceeds truncation level {level}")
-                if w.max_letter > dim:
-                    raise ValueError(f"word {w} uses letters beyond alphabet size {dim}")
-                c = float(c)
-                if c != 0.0:
-                    clean[w] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "_coeffs", clean)
+        _check_shape(dim, level)
+        arr = np.zeros(_size(dim, level))
+        index = _letter_index(dim, level)
+        for w, c in (coeffs or {}).items():
+            if len(w) > level:
+                raise ValueError(f"word {w} exceeds truncation level {level}")
+            if w.max_letter > dim:
+                raise ValueError(f"word {w} uses letters beyond alphabet size {dim}")
+            arr[index[w.letters]] = float(c)
+        _set(self, dim, level, arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedTensor is immutable")
 
     # -- construction helpers ------------------------------------------------
+
+    @classmethod
+    def from_array(cls, dim: int, level: int, values) -> "TruncatedTensor":
+        """A copy of dense coefficients, shape (size,) or a batch (B, size)."""
+        _check_shape(dim, level)
+        arr = np.array(values, dtype=float)
+        if arr.ndim not in (1, 2) or arr.shape[-1] != _size(dim, level):
+            raise ValueError(f"need shape (..., {_size(dim, level)}) for d={dim}, N={level}, got {arr.shape}")
+        return _wrap(dim, level, arr)
 
     @classmethod
     def zero(cls, dim: int, level: int) -> "TruncatedTensor":
@@ -269,79 +382,94 @@ class TruncatedTensor:
 
     @classmethod
     def from_vector(cls, vec, level: int) -> "TruncatedTensor":
-        """Embed a vector of R^d as the level-1 element Σ_i vec_i e_i."""
-        vec = [float(v) for v in vec]
-        return cls(len(vec), level, {Word((i + 1,)): v for i, v in enumerate(vec) if v != 0.0})
+        """Embed a vector of R^d as the level-1 element Σ_i vec_i e_i; a
+        (B, d) array gives a batch of B such elements."""
+        vec = np.asarray(vec, dtype=float)
+        _check_shape(vec.shape[-1], level)
+        if level < 1 or vec.ndim > 2:
+            raise ValueError(f"need level >= 1 and one vector or a batch, got N={level}, shape {vec.shape}")
+        arr = np.zeros(vec.shape[:-1] + (_size(vec.shape[-1], level),))
+        arr.T[1 : vec.shape[-1] + 1] = vec.T
+        return _wrap(vec.shape[-1], level, arr)
 
     # -- inspection ----------------------------------------------------------
 
-    def coeff(self, w: Word) -> float:
-        return self._coeffs.get(w, 0.0)
+    def coeff(self, w: Word):
+        i = _letter_index(self.dim, self.level).get(w.letters)
+        if i is None:
+            return 0.0
+        return float(self.array[i]) if self.array.ndim == 1 else self.array[:, i]
 
     def terms(self) -> list[tuple[Word, float]]:
-        """Stored terms in canonical (length, lex) word order."""
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0].sort_key())
+        """Non-zero terms in canonical (length, lex) word order."""
+        nz = self._single().nonzero()[0]
+        words = words_up_to(self.dim, self.level)
+        return [(words[i], c) for i, c in zip(nz.tolist(), self.array[nz].tolist())]
 
     def words(self) -> set[Word]:
-        return set(self._coeffs)
+        return {w for w, _ in self.terms()}
 
-    def pair(self, other: "TruncatedTensor") -> float:
-        """Sparse dot product ⟨self, other⟩."""
-        a, b = self._coeffs, other._coeffs
-        if len(b) < len(a):
-            a, b = b, a
-        return sum(c * b[w] for w, c in a.items() if w in b)
+    def pair(self, other: "TruncatedTensor"):
+        """Dot product ⟨self, other⟩ over the words both levels hold."""
+        self._check_compatible(other)
+        n = min(self.array.shape[-1], other.array.shape[-1])
+        return _scalar(np.sum(self.array[..., :n] * other.array[..., :n], axis=-1))
 
-    def norm_inf(self) -> float:
-        return max((abs(c) for c in self._coeffs.values()), default=0.0)
+    def norm_inf(self):
+        return _scalar(np.abs(self.array).max(axis=-1))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncatedTensor)
-            and self.dim == other.dim
-            and self.level == other.level
-            and self._coeffs == other._coeffs
+            and (self.dim, self.level) == (other.dim, other.level)
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self):
-        return hash((self.dim, self.level, frozenset(self._coeffs.items())))
+        # + 0.0 maps −0.0 to 0.0, which compares equal.
+        return hash((self.dim, self.level, (self.array + 0.0).tobytes()))
 
     def __repr__(self) -> str:
+        if self.array.ndim > 1:
+            return f"TruncatedTensor(d={self.dim}, N={self.level}, batch of {len(self.array)})"
         inner = " + ".join(f"{c:g}*e{w.letters}" for w, c in self.terms()) or "0"
         return f"TruncatedTensor(d={self.dim}, N={self.level}: {inner})"
+
+    def _single(self) -> np.ndarray:
+        if self.array.ndim != 1:
+            raise ValueError("operation needs a single tensor, not a batch")
+        return self.array
 
     # -- graded linear structure ----------------------------------------------
 
     def __add__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         self._check_compatible(other)
-        out = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            out[w] = out.get(w, 0.0) + c
-        return TruncatedTensor(self.dim, max(self.level, other.level), out)
+        level = max(self.level, other.level)
+        return _wrap(self.dim, level, self.at_level(level).array + other.at_level(level).array)
 
     def __sub__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: float) -> "TruncatedTensor":
-        scalar = float(scalar)
-        return TruncatedTensor(self.dim, self.level, {w: scalar * c for w, c in self._coeffs.items()})
+        return _wrap(self.dim, self.level, float(scalar) * self.array)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "TruncatedTensor":
         return self * -1.0
 
-    def truncated(self, level: int) -> "TruncatedTensor":
-        return TruncatedTensor(self.dim, level, {w: c for w, c in self._coeffs.items() if len(w) <= level})
-
     def at_level(self, level: int) -> "TruncatedTensor":
-        """Re-truncate, allowing the level to grow (new words stay absent)."""
-        if level >= self.level:
-            return TruncatedTensor(self.dim, level, dict(self._coeffs))
-        return self.truncated(level)
+        """Re-truncate, allowing the level to grow (new words stay zero)."""
+        _check_shape(self.dim, level)
+        n = min(_size(self.dim, level), self.array.shape[-1])
+        arr = np.zeros(self.array.shape[:-1] + (_size(self.dim, level),))
+        arr[..., :n] = self.array[..., :n]
+        return _wrap(self.dim, level, arr)
+
+    truncated = at_level
 
     def graded_piece(self, p: int) -> "TruncatedTensor":
-        return TruncatedTensor(self.dim, self.level, {w: c for w, c in self._coeffs.items() if len(w) == p})
+        return _wrap(self.dim, self.level, np.where(_lengths(self.dim, self.level) == p, self.array, 0.0))
 
     def _check_compatible(self, other: "TruncatedTensor"):
         if self.dim != other.dim:
@@ -358,8 +486,15 @@ class TruncatedTensor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncatedTensor":
-        coeffs = {Word(t["word"]): float(t["value"]) for t in data["terms"]}
-        return cls(int(data["d"]), int(data["level"]), coeffs)
+        dim, level = int(data["d"]), int(data["level"])
+        _check_shape(dim, level)
+        index = _letter_index(dim, level)
+        coeffs = {index.get(tuple(t["word"])): float(t["value"]) for t in data["terms"]}
+        if None in coeffs:  # a word off the layout: the constructor names it
+            return cls(dim, level, {Word(t["word"]): float(t["value"]) for t in data["terms"]})
+        arr = np.zeros(_size(dim, level))
+        arr[list(coeffs)] = list(coeffs.values())
+        return _wrap(dim, level, arr)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -369,12 +504,30 @@ class TruncatedTensor:
         return cls.from_json_dict(json.loads(text))
 
 
-def max_coeff_diff(a: TruncatedTensor, b: TruncatedTensor) -> float:
-    """Largest absolute coefficient difference over the union support."""
-    return max(
-        (abs(a.coeff(w) - b.coeff(w)) for w in a.words() | b.words()),
-        default=0.0,
-    )
+def _check_shape(dim: int, level: int):
+    if dim < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {dim}")
+    if level < 0:
+        raise ValueError(f"truncation level must be >= 0, got {level}")
+
+
+def _set(t: TruncatedTensor, dim: int, level: int, arr: np.ndarray):
+    arr.setflags(write=False)
+    object.__setattr__(t, "dim", dim)
+    object.__setattr__(t, "level", level)
+    object.__setattr__(t, "array", arr)
+
+
+def _wrap(dim: int, level: int, arr: np.ndarray) -> TruncatedTensor:
+    """A tensor around a freshly computed array, without validation."""
+    t = object.__new__(TruncatedTensor)
+    _set(t, dim, level, arr)
+    return t
+
+
+def max_coeff_diff(a: TruncatedTensor, b: TruncatedTensor):
+    """Largest absolute coefficient difference (per row for a batch)."""
+    return (a - b).norm_inf()
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +543,13 @@ def shuffle(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     """
     a._check_compatible(b)
     level = max(a.level, b.level)
-    out: dict[Word, float] = {}
-    for u, cu in a._coeffs.items():
-        for v, cv in b._coeffs.items():
-            if len(u) + len(v) > level:
-                continue
-            c = cu * cv
-            for w, mult in _shuffle_words(u.letters, v.letters).items():
-                key = Word(w)
-                out[key] = out.get(key, 0.0) + mult * c
-    return TruncatedTensor(a.dim, level, out)
+    return _wrap(a.dim, level, _product(a.at_level(level).array, b.at_level(level).array, a.dim, level, True))
 
 
 def antipode(a: TruncatedTensor) -> TruncatedTensor:
     """The antipode: e_{i_1..i_p} ↦ (−1)^p e_{i_p..i_1}, extended linearly."""
-    out = {w.reversed(): (c if len(w) % 2 == 0 else -c) for w, c in a._coeffs.items()}
-    return TruncatedTensor(a.dim, a.level, out)
+    source, sign = _antipode_table(a.dim, a.level)
+    return _wrap(a.dim, a.level, _cols(a.array, source) * sign)
 
 
 def convolution(g: TruncatedTensor, h: TruncatedTensor) -> TruncatedTensor:
@@ -417,54 +561,48 @@ def convolution(g: TruncatedTensor, h: TruncatedTensor) -> TruncatedTensor:
     g._check_compatible(h)
     if g.level != h.level:
         raise ValueError(f"truncation level mismatch: {g.level} vs {h.level}")
-    level = g.level
-    out: dict[Word, float] = {}
-    for u, cu in g._coeffs.items():
-        for v, cv in h._coeffs.items():
-            if len(u) + len(v) > level:
-                continue
-            key = u + v
-            out[key] = out.get(key, 0.0) + cu * cv
-    return TruncatedTensor(g.dim, level, out)
-
-
-def convolution_power(g: TruncatedTensor, k: int) -> TruncatedTensor:
-    out = TruncatedTensor.unit(g.dim, g.level)
-    for _ in range(k):
-        out = convolution(out, g)
-    return out
+    return _wrap(g.dim, g.level, _product(g.array, h.array, g.dim, g.level, False))
 
 
 def tensor_exp(a: TruncatedTensor) -> "GroupTensor":
     """Convolution exponential of an augmentation-free element.
 
     The series terminates after at most N convolution powers because ``a``
-    has no 𝟙 component.  The exponential of a level-1 element is a
-    character.
+    has no 𝟙 component; for a level-1 element v the k-th power is v^⊗k,
+    formed by successive outer products.  The exponential of a level-1
+    element is a character.
     """
-    if a.coeff(EMPTY_WORD) != 0.0:
+    x, d, level = a.array, a.dim, a.level
+    if np.count_nonzero(_cols(x, [0])):
         raise ValueError("tensor_exp requires a vanishing 𝟙 coefficient")
-    out = TruncatedTensor.unit(a.dim, a.level)
-    power = TruncatedTensor.unit(a.dim, a.level)
-    for k in range(1, a.level + 1):
-        power = convolution(power, a)
-        out = out + (1.0 / math.factorial(k)) * power
-    return GroupTensor(out)
+    out = np.zeros(x.shape)
+    out.T[0] = 1.0
+    power = out
+    level_one = not np.count_nonzero(x.T[d + 1 :])
+    for k in range(1, level + 1):
+        if level_one:
+            vec = x.T[1 : d + 1].T
+            power = vec if k == 1 else (power[..., :, None] * vec[..., None, :]).reshape(x.shape[:-1] + (-1,))
+            out.T[_size(d, k - 1) : _size(d, k)] = ((1.0 / math.factorial(k)) * power).T
+        else:
+            power = _product(power, x, d, level, False)
+            out = out + (1.0 / math.factorial(k)) * power
+    return GroupTensor(_wrap(d, level, out))
 
 
 def tensor_log(g: "GroupTensor | TruncatedTensor") -> TruncatedTensor:
     """Convolution logarithm; inverse of tensor_exp up to floating error."""
     t = g.tensor if isinstance(g, GroupTensor) else g
-    if abs(t.coeff(EMPTY_WORD) - 1.0) > 1e-9:
+    if _unit_gap(t.array) > 1e-9:
         raise ValueError("tensor_log requires unit 𝟙 coefficient")
-    base = t - TruncatedTensor.unit(t.dim, t.level)
-    base = TruncatedTensor(t.dim, t.level, {w: c for w, c in base._coeffs.items() if len(w) >= 1})
-    out = TruncatedTensor.zero(t.dim, t.level)
-    power = TruncatedTensor.unit(t.dim, t.level)
+    base = t.array.copy()
+    base.T[0] = 0.0
+    out = np.zeros(base.shape)
+    power = TruncatedTensor.unit(t.dim, t.level).array
     for k in range(1, t.level + 1):
-        power = convolution(power, base)
+        power = _product(power, base, t.dim, t.level, False)
         out = out + ((-1.0) ** (k + 1) / k) * power
-    return out
+    return _wrap(t.dim, t.level, out)
 
 
 class CharacterCheck(NamedTuple):
@@ -477,40 +615,37 @@ def is_character(a: TruncatedTensor, tol: float = 1e-10) -> CharacterCheck:
     """Test the truncated character property to tolerance.
 
     Checks ⟨a, e_u ⧢ e_v⟩ = ⟨a, e_u⟩⟨a, e_v⟩ over all basis pairs with
-    |u| + |v| <= N and reports the worst violation.  Diagnostic only.
+    |u| + |v| <= N and reports the worst violation.  Diagnostic only.  For
+    a batch, ``ok`` and ``violation`` hold one entry per row and
+    ``worst_pair`` is None.
     """
-    level, d = a.level, a.dim
-    worst = abs(a.coeff(EMPTY_WORD) - 1.0)
-    worst_pair: tuple[Word, Word] | None = (EMPTY_WORD, EMPTY_WORD) if worst > 0 else None
-    all_words = words_up_to(d, level - 1) if level >= 1 else ()
-    for i, u in enumerate(all_words):
-        if len(u) == 0:
-            continue
-        for v in all_words[i:]:
-            if len(v) == 0 or len(u) + len(v) > level:
-                continue
-            lhs = sum(
-                mult * a.coeff(Word(w))
-                for w, mult in _shuffle_words(u.letters, v.letters).items()
-            )
-            gap = abs(lhs - a.coeff(u) * a.coeff(v))
-            if gap > worst:
-                worst, worst_pair = gap, (u, v)
-    return CharacterCheck(ok=worst <= tol, violation=worst, worst_pair=worst_pair)
+    x = a.array
+    pairs, u, v, w, m, pair = _character_table(a.dim, a.level)
+    gaps = np.abs(_cols(x, [0]) - 1.0)
+    if pairs:
+        lhs = _scatter_sum(_cols(x, w) * m, pair, len(pairs))
+        gaps = np.concatenate([gaps, np.abs(lhs - _cols(x, u) * _cols(x, v))], axis=-1)
+    worst = gaps.max(axis=-1)
+    if x.ndim > 1:
+        return CharacterCheck(ok=worst <= tol, violation=worst, worst_pair=None)
+    k = int(gaps.argmax())
+    worst_pair = None if worst == 0.0 else (EMPTY_WORD, EMPTY_WORD) if k == 0 else pairs[k - 1]
+    return CharacterCheck(ok=bool(worst <= tol), violation=float(worst), worst_pair=worst_pair)
 
 
 class GroupTensor:
     """A truncated tensor with unit 𝟙 coefficient, used as a group element.
 
-    Rough-path increments live here.  Full character validation is a
-    separate explicit call (`is_character`); construction only enforces the
-    normalization ⟨g, 𝟙⟩ = 1.
+    Rough-path increments live here; a batched tensor holds a batch of group
+    elements.  Full character validation is a separate explicit call
+    (`is_character`); construction only enforces the normalization
+    ⟨g, 𝟙⟩ = 1.
     """
 
     __slots__ = ("tensor",)
 
     def __init__(self, tensor: TruncatedTensor):
-        if abs(tensor.coeff(EMPTY_WORD) - 1.0) > 1e-9:
+        if _unit_gap(tensor.array) > 1e-9:
             raise ValueError("group element must have unit 𝟙 coefficient")
         object.__setattr__(self, "tensor", tensor)
 
@@ -529,7 +664,7 @@ class GroupTensor:
     def level(self) -> int:
         return self.tensor.level
 
-    def coeff(self, w: Word) -> float:
+    def coeff(self, w: Word):
         return self.tensor.coeff(w)
 
     def __eq__(self, other) -> bool:
@@ -552,21 +687,19 @@ def group_inverse(g: GroupTensor, tol: float | None = 1e-8) -> GroupTensor:
     convolution residual ‖g ⋆ g^{-1} − 𝟙*‖_∞ (g∘S inverts g exactly when g
     is a character).  Pass ``tol=None`` to skip the check in hot paths.
     """
-    inv = GroupTensor(antipode(g.tensor))
+    inv = antipode(g.tensor)
     if tol is not None:
-        residual = max_coeff_diff(
-            convolution(g.tensor, inv.tensor),
-            TruncatedTensor.unit(g.dim, g.level),
-        )
+        product = _wrap(g.dim, g.level, _product(g.tensor.array, inv.array, g.dim, g.level, False))
+        residual = float(np.max(max_coeff_diff(product, TruncatedTensor.unit(g.dim, g.level))))
         if residual > tol:
             raise ValueError(
                 f"group_inverse: input is not a character to tolerance "
                 f"(convolution residual {residual:.3e} > {tol:.3e})"
             )
-    return inv
+    return GroupTensor(inv)
 
 
-def homogeneous_norm(g: GroupTensor, noise_floor: float = 1e-14) -> float:
+def homogeneous_norm(g: GroupTensor, noise_floor: float = 1e-14):
     """Diagnostic homogeneous norm max_k max_{|w|=k} (k!·|⟨g,e_w⟩|)^{1/k}.
 
     A computable surrogate used only for Hölder diagnostics, never for
@@ -574,13 +707,11 @@ def homogeneous_norm(g: GroupTensor, noise_floor: float = 1e-14) -> float:
     treated as zero: the k-th root would otherwise amplify float noise on
     near-identity elements to ~1e-6.
     """
-    best = 0.0
-    for w, c in g.tensor._coeffs.items():
-        k = len(w)
-        if k == 0 or abs(c) <= noise_floor:
-            continue
-        best = max(best, (math.factorial(k) * abs(c)) ** (1.0 / k))
-    return best
+    k = _lengths(g.dim, g.level)
+    c = np.abs(g.tensor.array)
+    factorial = np.asarray([math.factorial(p) for p in range(g.level + 1)], dtype=float)[k]
+    root = (factorial * c) ** (1.0 / np.maximum(k, 1))
+    return _scalar(np.where((k > 0) & (c > noise_floor), root, 0.0).max(axis=-1))
 
 
 def group_distance(g: GroupTensor, h: GroupTensor) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -38,6 +39,7 @@ from .rpde import (
     TransportProblem,
     duality_check,
     push_measure,
+    solve_partition,
     solve_transport,
     verify_continuity,
     verify_transport,
@@ -103,6 +105,17 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
     return [points[i] for i in range(points.shape[0])]
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _make_pmap(threads: int) -> Callable:
     if threads <= 1:
         return None
@@ -139,10 +152,7 @@ def _cmd_rde(args) -> int:
     driver = _load_driver(args.driver)
     system = system_from_json_dict(_read_json(args.fields))
     x0 = _parse_x0(args.x0)
-    n_cells = max(1, int(np.ceil(driver.horizon / args.mesh)))
-    partition = np.unique(np.concatenate([
-        np.linspace(0.0, driver.horizon, n_cells + 1), driver.times
-    ]))
+    partition = solve_partition(driver, 0.0, driver.horizon, args.mesh)
     solution = solve_rde(x0, system, driver, partition)
     lines = ["t," + ",".join(f"x{j + 1}" for j in range(system.n))]
     for t, row in zip(solution.times, solution.states):
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, mesh_default=1e-3):
-        p.add_argument("--mesh", type=float, default=mesh_default, help="solver mesh size")
+        p.add_argument("--mesh", type=_positive_float, default=mesh_default, help="solver mesh size")
         p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
         p.add_argument("--threads", type=int, default=default_threads,
                        help="worker threads (default from ROUGHKIT_THREADS)")
@@ -323,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fbm-hurst", type=float, default=None, help="sample an fBm driver instead of --path")
     p.add_argument("--fbm-dim", type=int, default=2)
     p.add_argument("--fbm-knots", type=int, default=129)
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--horizon", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sig)
@@ -393,7 +403,7 @@ def main(argv=None) -> int:
     except NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, FileNotFoundError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
 

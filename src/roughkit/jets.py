@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import GroupTensor
+from .algebra import GroupTensor, words_up_to
 from .errors import NumericalFailure
 from .functions import SmoothFunction
 from .rde import DerivedFieldTable, VectorFieldSystem, derive_fields
@@ -331,11 +331,11 @@ def solve_flow_jets(
     for cell in range(len(partition) - 1):
         g = driver.increment(partition[cell], partition[cell + 1])
         stacks = table.jet_stacks(current[0], jet_order)
-        davie_stack = [np.zeros((space.n,) * (q + 1)) for q in range(jet_order + 1)]
-        for w, c in g.tensor.terms():
-            stack = stacks[w]
-            for q in range(jet_order + 1):
-                davie_stack[q] = davie_stack[q] + c * stack[q]
+        words = words_up_to(g.dim, g.level)
+        davie_stack = []
+        for q in range(jet_order + 1):
+            block = np.stack([stacks[w][q] for w in words])
+            davie_stack.append((g.tensor.array @ block.reshape(len(words), -1)).reshape(block.shape[1:]))
         new_jets = jet_compose(davie_stack, current)
         if not all(np.isfinite(b).all() for b in new_jets):
             raise NumericalFailure(f"solve_flow_jets: blow-up on cell index {cell}")
@@ -350,10 +350,8 @@ def partial_davie_expansion(
 ) -> np.ndarray:
     """One-shot expansion Σ_{|w| <= N} ∂^α F_w(x)⟨g, e_w⟩."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros(table.system.n)
-    for w, c in g.tensor.terms():
-        out = out + c * np.asarray(table.field(w).partial(x, tuple(alpha)), dtype=float)
-    return out
+    partials = [table.field(w).partial(x, tuple(alpha)) for w in words_up_to(g.dim, g.level)]
+    return g.tensor.array @ np.asarray(partials, dtype=float)
 
 
 def partial_davie_check(

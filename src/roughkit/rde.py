@@ -328,10 +328,7 @@ def davie_step(x, table: DerivedFieldTable, g: GroupTensor, route: str = "shuffl
         )
     x = np.asarray(x, dtype=float)
     values = table.values_at(x) if route == "shuffle" else table.recursion_values_at(x)
-    out = np.zeros_like(x)
-    for w, c in g.tensor.terms():
-        out = out + c * values[w]
-    return out
+    return g.tensor.array @ np.stack([values[w] for w in words_up_to(g.dim, g.level)])
 
 
 @dataclass

@@ -27,6 +27,7 @@ from .algebra import (
     Word,
     convolution,
     group_inverse,
+    is_character,
     tensor_exp,
     tensor_log,
     words_up_to,
@@ -134,14 +135,16 @@ class GeometricRoughPath:
                 f"the level is only overridable upward"
             )
         times = np.asarray(times, dtype=float)
-        if len(times) != len(basepoints):
-            raise ValueError("times and basepoints must have matching length")
+        if len(times) != len(basepoints) or not basepoints:
+            raise ValueError("times and basepoints must have matching, non-zero length")
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("basepoint times must start at 0 and increase strictly")
         if basepoints[0].tensor.norm_inf() != 1.0 or len(basepoints[0].tensor.words()) != 1:
             raise ValueError("the basepoint at time 0 must be the group identity")
         if any(g.level != level for g in basepoints):
             raise ValueError("all basepoints must share the truncation level")
+        if any(g.dim != basepoints[0].dim or g.tensor.array.ndim != 1 for g in basepoints):
+            raise ValueError("basepoints must be single group elements of one alphabet size")
         self.gamma = float(gamma)
         self.level = int(level)
         self.times = times
@@ -224,22 +227,23 @@ class GeometricRoughPath:
         keep grids modest.  Words of length 0 are excluded by convention.
         """
         grid = np.asarray(grid, dtype=float)
-        points = [self.basepoint_at(t) for t in grid]
-        inverses = [group_inverse(g, tol=None) for g in points]
-        out = {w: 0.0 for w in words_up_to(self.dim, self.level) if len(w) >= 1}
-        for i in range(len(grid)):
-            for j in range(i + 1, len(grid)):
-                span = grid[j] - grid[i]
-                if span <= 0:
-                    continue
-                inc = convolution(inverses[i].tensor, points[j].tensor)
-                for w, c in inc.terms():
-                    if len(w) == 0:
-                        continue
-                    ratio = abs(c) / span ** (len(w) * self.gamma)
-                    if ratio > out[w]:
-                        out[w] = ratio
-        return out
+        d, level = self.dim, self.level
+        words = words_up_to(d, level)
+        i, j = np.triu_indices(len(grid), k=1)
+        keep = grid[j] > grid[i]
+        i, j = i[keep], j[keep]
+        worst = np.zeros(len(words))
+        if len(i):
+            points = TruncatedTensor.from_array(d, level, [self.basepoint_at(t).tensor.array for t in grid])
+            inverses = group_inverse(GroupTensor(points), tol=None).tensor.array
+            incs = convolution(
+                TruncatedTensor.from_array(d, level, inverses[i]),
+                TruncatedTensor.from_array(d, level, points.array[j]),
+            ).array
+            span = grid[j] - grid[i]
+            lengths = np.asarray([len(w) for w in words])
+            worst = np.max(np.abs(incs) / span[:, None] ** (lengths * self.gamma), axis=0)
+        return {w: float(c) for w, c in zip(words, worst) if len(w) >= 1}
 
     # -- serialization ------------------------------------------------------------
 
@@ -253,13 +257,32 @@ class GeometricRoughPath:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeometricRoughPath":
-        basepoints = [GroupTensor(TruncatedTensor.from_json_dict(t)) for t in data["basepoints"]]
-        return cls(
+        """Load and validate: finite times and coefficients, and every
+        basepoint a character to 1e-9·max(1, ‖g‖∞)², checked in one batch."""
+        times = np.asarray(data["times"], dtype=float)
+        if times.ndim != 1 or not np.isfinite(times).all():
+            raise ValueError("rough-path times must be a list of finite numbers")
+        tensors = [TruncatedTensor.from_json_dict(t) for t in data["basepoints"]]
+        path = cls(
             gamma=float(data["gamma"]),
             level=int(data["level"]),
-            times=np.asarray(data["times"], dtype=float),
-            basepoints=basepoints,
+            times=times,
+            basepoints=[GroupTensor(t) for t in tensors],
         )
+        stacked = np.stack([t.array for t in tensors])
+        finite = np.isfinite(stacked).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"basepoint {int(np.argmin(finite))} has a non-finite coefficient")
+        violation = is_character(TruncatedTensor.from_array(path.dim, path.level, stacked)).violation
+        scale = np.maximum(1.0, np.max(np.abs(stacked), axis=1))
+        bad = np.flatnonzero(~(violation <= 1e-9 * scale**2))
+        if len(bad):
+            k = int(bad[0])
+            raise ValueError(
+                f"basepoint {k} is not a character (violation {violation[k]:.3e} "
+                f"> {1e-9 * scale[k] ** 2:.3e})"
+            )
+        return path
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -272,17 +295,18 @@ class GeometricRoughPath:
 def lift_pl(path: PiecewiseLinearPath, gamma: float, level: int | None = None) -> GeometricRoughPath:
     """Exact step-N lift of a piecewise-linear driver.
 
-    Each segment contributes the tensor exponential of its increment; the
-    basepoints are running convolutions, so Chen's relation holds exactly
-    up to float error.  ``level`` defaults to N_γ and may be raised above
+    Each segment contributes the tensor exponential of its increment (all
+    formed in one batched call); the basepoints are running convolutions,
+    so Chen's relation holds exactly up to float error.  ``level`` defaults to N_γ and may be raised above
     it (never lowered below 1).
     """
     if level is None:
         level = hoelder_level(gamma)
+    segments = _segment_exp(np.diff(path.values, axis=0), level).tensor.array
     basepoints = [GroupTensor.identity(path.dim, level)]
-    for j in range(len(path.times) - 1):
-        delta = path.values[j + 1] - path.values[j]
-        basepoints.append(basepoints[-1].convolve(_segment_exp(delta, level)))
+    for row in segments:
+        step = TruncatedTensor.from_array(path.dim, level, row)
+        basepoints.append(GroupTensor(convolution(basepoints[-1].tensor, step)))
     return GeometricRoughPath(
         gamma=gamma, level=level, times=path.times, basepoints=basepoints, generator=path
     )
