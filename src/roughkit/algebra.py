@@ -226,7 +226,7 @@ def deshuffles(w: Word, k: int) -> DeshuffleTable:
 # at its level offset Σ_{k<|w|} d^k plus its base-d rank.  Each product is
 # a gather, a multiply and a scatter-add over index tables compiled once
 # per (d, N).  The kernels act on the last axis, so a leading batch axis
-# passes through.
+# passes through, and a single tensor against a batch broadcasts.
 # ---------------------------------------------------------------------------
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -394,11 +394,9 @@ class TruncatedTensor:
 
     # -- inspection ----------------------------------------------------------
 
-    def coeff(self, w: Word):
-        i = _letter_index(self.dim, self.level).get(w.letters)
-        if i is None:
-            return 0.0
-        return float(self.array[i]) if self.array.ndim == 1 else self.array[:, i]
+    def coeff(self, w: Word) -> float:
+        arr, i = self._single(), _letter_index(self.dim, self.level).get(w.letters)
+        return 0.0 if i is None else float(arr[i])
 
     def terms(self) -> list[tuple[Word, float]]:
         """Non-zero terms in canonical (length, lex) word order."""
@@ -409,11 +407,11 @@ class TruncatedTensor:
     def words(self) -> set[Word]:
         return {w for w, _ in self.terms()}
 
-    def pair(self, other: "TruncatedTensor"):
+    def pair(self, other: "TruncatedTensor") -> float:
         """Dot product ⟨self, other⟩ over the words both levels hold."""
         self._check_compatible(other)
         n = min(self.array.shape[-1], other.array.shape[-1])
-        return _scalar(np.sum(self.array[..., :n] * other.array[..., :n], axis=-1))
+        return float(self._single()[:n] @ other._single()[:n])
 
     def norm_inf(self):
         return _scalar(np.abs(self.array).max(axis=-1))
@@ -430,8 +428,6 @@ class TruncatedTensor:
         return hash((self.dim, self.level, (self.array + 0.0).tobytes()))
 
     def __repr__(self) -> str:
-        if self.array.ndim > 1:
-            return f"TruncatedTensor(d={self.dim}, N={self.level}, batch of {len(self.array)})"
         inner = " + ".join(f"{c:g}*e{w.letters}" for w, c in self.terms()) or "0"
         return f"TruncatedTensor(d={self.dim}, N={self.level}: {inner})"
 
@@ -486,15 +482,7 @@ class TruncatedTensor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncatedTensor":
-        dim, level = int(data["d"]), int(data["level"])
-        _check_shape(dim, level)
-        index = _letter_index(dim, level)
-        coeffs = {index.get(tuple(t["word"])): float(t["value"]) for t in data["terms"]}
-        if None in coeffs:  # a word off the layout: the constructor names it
-            return cls(dim, level, {Word(t["word"]): float(t["value"]) for t in data["terms"]})
-        arr = np.zeros(_size(dim, level))
-        arr[list(coeffs)] = list(coeffs.values())
-        return _wrap(dim, level, arr)
+        return cls(int(data["d"]), int(data["level"]), {Word(t["word"]): float(t["value"]) for t in data["terms"]})
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -568,9 +556,8 @@ def tensor_exp(a: TruncatedTensor) -> "GroupTensor":
     """Convolution exponential of an augmentation-free element.
 
     The series terminates after at most N convolution powers because ``a``
-    has no 𝟙 component; for a level-1 element v the k-th power is v^⊗k,
-    formed by successive outer products.  The exponential of a level-1
-    element is a character.
+    has no 𝟙 component.  The exponential of a level-1 element is a
+    character.
     """
     x, d, level = a.array, a.dim, a.level
     if np.count_nonzero(_cols(x, [0])):
@@ -578,15 +565,9 @@ def tensor_exp(a: TruncatedTensor) -> "GroupTensor":
     out = np.zeros(x.shape)
     out.T[0] = 1.0
     power = out
-    level_one = not np.count_nonzero(x.T[d + 1 :])
     for k in range(1, level + 1):
-        if level_one:
-            vec = x.T[1 : d + 1].T
-            power = vec if k == 1 else (power[..., :, None] * vec[..., None, :]).reshape(x.shape[:-1] + (-1,))
-            out.T[_size(d, k - 1) : _size(d, k)] = ((1.0 / math.factorial(k)) * power).T
-        else:
-            power = _product(power, x, d, level, False)
-            out = out + (1.0 / math.factorial(k)) * power
+        power = _product(power, x, d, level, False)
+        out = out + (1.0 / math.factorial(k)) * power
     return GroupTensor(_wrap(d, level, out))
 
 

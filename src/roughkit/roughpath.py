@@ -223,26 +223,24 @@ class GeometricRoughPath:
     def holder_diagnostic(self, grid: np.ndarray) -> dict[Word, float]:
         """Grid supremum of |⟨W_{st}, e_w⟩| / |t−s|^{|w|γ} per word.
 
-        Evaluates all pairs of the supplied grid (O(G²) convolutions), so
-        keep grids modest.  Words of length 0 are excluded by convention.
+        Evaluates all pairs of the supplied grid (O(G²) convolutions, one
+        batch per left point), so keep grids modest.  Words of length 0 are
+        excluded by convention.
         """
         grid = np.asarray(grid, dtype=float)
         d, level = self.dim, self.level
         words = words_up_to(d, level)
-        i, j = np.triu_indices(len(grid), k=1)
-        keep = grid[j] > grid[i]
-        i, j = i[keep], j[keep]
+        lengths = np.asarray([len(w) for w in words])
+        points = [self.basepoint_at(t) for t in grid]
+        stacked = np.asarray([g.tensor.array for g in points])
         worst = np.zeros(len(words))
-        if len(i):
-            points = TruncatedTensor.from_array(d, level, [self.basepoint_at(t).tensor.array for t in grid])
-            inverses = group_inverse(GroupTensor(points), tol=None).tensor.array
-            incs = convolution(
-                TruncatedTensor.from_array(d, level, inverses[i]),
-                TruncatedTensor.from_array(d, level, points.array[j]),
-            ).array
-            span = grid[j] - grid[i]
-            lengths = np.asarray([len(w) for w in words])
-            worst = np.max(np.abs(incs) / span[:, None] ** (lengths * self.gamma), axis=0)
+        for i in range(len(grid)):
+            later = (np.arange(len(grid)) > i) & (grid > grid[i])
+            if later.any():
+                left = group_inverse(points[i], tol=None).tensor
+                incs = convolution(left, TruncatedTensor.from_array(d, level, stacked[later])).array
+                span = grid[later] - grid[i]
+                worst = np.maximum(worst, np.max(np.abs(incs) / span[:, None] ** (lengths * self.gamma), axis=0))
         return {w: float(c) for w, c in zip(words, worst) if len(w) >= 1}
 
     # -- serialization ------------------------------------------------------------

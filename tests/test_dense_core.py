@@ -10,6 +10,7 @@ batched.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from roughkit.algebra import (
     tensor_log,
     words_up_to,
 )
+from roughkit.roughpath import PiecewiseLinearPath, lift_pl
 
 Sparse = dict[Word, float]
 
@@ -249,3 +251,35 @@ def test_level_one_exp_is_bit_identical_to_the_series():
     got = tensor_exp(TruncatedTensor.from_vector(vec, 4)).tensor
     oracle = sparse_exp({Word((i + 1,)): float(x) for i, x in enumerate(vec)}, 4)
     assert got == dense(oracle, 2, 4)
+
+
+def test_single_tensor_reads_reject_a_batch():
+    rng = np.random.default_rng(1)
+    groups = batch([random_group_like(rng, 2, 3) for _ in range(3)], 2, 3)
+    for read in (
+        lambda t: t.coeff(Word((1,))),
+        lambda t: t.coeff(Word((3,))),
+        lambda t: t.pair(t),
+        lambda t: t.terms(),
+        lambda t: t.words(),
+        lambda t: repr(t),
+    ):
+        with pytest.raises(ValueError, match="single tensor"):
+            read(groups)
+    assert np.array_equal(groups.norm_inf(), np.abs(groups.array).max(axis=1))
+
+
+def test_holder_diagnostic_matches_pairwise_increments():
+    rng = np.random.default_rng(2)
+    values = np.cumsum(rng.standard_normal((9, 2)), axis=0)
+    values[0] = 0.0
+    rp = lift_pl(PiecewiseLinearPath(np.linspace(0.0, 1.0, 9), values), gamma=0.4, level=3)
+    grid = np.array([0.0, 0.1, 0.1, 0.37, 0.5, 0.93, 1.0])
+    expected = {w: 0.0 for w in words_up_to(2, 3) if len(w) >= 1}
+    for i, s in enumerate(grid):
+        for t in grid[i + 1:]:
+            if t > s:
+                for w, c in rp.increment(s, t).tensor.terms():
+                    if len(w) >= 1:
+                        expected[w] = max(expected[w], abs(c) / (t - s) ** (len(w) * 0.4))
+    assert rp.holder_diagnostic(grid) == expected
