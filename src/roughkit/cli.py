@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalFailure
-from .functions import function_from_json_dict
-from .rde import solve_rde, system_from_json_dict
+from .functions import SmoothFunction, function_from_json_dict
+from .rde import VectorFieldSystem, solve_rde, system_from_json_dict
 from .roughpath import GeometricRoughPath, PiecewiseLinearPath, lift_pl, sample_fbm
 from .rpde import (
     FlowSolutionOracle,
@@ -80,8 +80,26 @@ def _read_csv_rows(path: str, expected_first: str) -> tuple[list[str], np.ndarra
     return header, rows
 
 
+def _load_json(path: str, what: str, build: Callable):
+    """``build`` applied to the JSON in ``path``; a document of the wrong
+    structure or with invalid values is an input error naming the file."""
+    data = _read_json(path)
+    try:
+        return build(data)
+    except (TypeError, AttributeError, KeyError, IndexError, OverflowError, ValueError) as e:
+        raise ValueError(f"{path}: not a valid {what} JSON ({type(e).__name__}: {e})") from e
+
+
 def _load_driver(path: str) -> GeometricRoughPath:
-    return GeometricRoughPath.from_json_dict(_read_json(path))
+    return _load_json(path, "rough-path", GeometricRoughPath.from_json_dict)
+
+
+def _load_fields(path: str) -> VectorFieldSystem:
+    return _load_json(path, "fields", system_from_json_dict)
+
+
+def _load_phis(path: str) -> list[SmoothFunction]:
+    return _load_json(path, "phis", lambda data: [function_from_json_dict(d) for d in data["phis"]])
 
 
 def _parse_x0(text: str) -> np.ndarray:
@@ -150,7 +168,7 @@ def _cmd_sig(args) -> int:
 
 def _cmd_rde(args) -> int:
     driver = _load_driver(args.driver)
-    system = system_from_json_dict(_read_json(args.fields))
+    system = _load_fields(args.fields)
     x0 = _parse_x0(args.x0)
     partition = solve_partition(driver, 0.0, driver.horizon, args.mesh)
     solution = solve_rde(x0, system, driver, partition)
@@ -168,8 +186,8 @@ def _cmd_rde(args) -> int:
 
 def _build_problem(args) -> TransportProblem:
     driver = _load_driver(args.driver)
-    system = system_from_json_dict(_read_json(args.fields))
-    terminal = function_from_json_dict(_read_json(args.terminal))
+    system = _load_fields(args.fields)
+    terminal = _load_json(args.terminal, "function", function_from_json_dict)
     return TransportProblem(fields=system, terminal=terminal, driver=driver)
 
 
@@ -193,11 +211,11 @@ def _load_measure(path: str) -> ParticleMeasure:
 
 def _cmd_continuity(args) -> int:
     driver = _load_driver(args.driver)
-    system = system_from_json_dict(_read_json(args.fields))
+    system = _load_fields(args.fields)
     mu = _load_measure(args.mu)
-    phis = [function_from_json_dict(d) for d in _read_json(args.phis)["phis"]]
+    phis = _load_phis(args.phis)
     times = np.asarray([0.0, args.time]) if args.time > 0 else np.asarray([0.0])
-    evolution = push_measure(system, driver, mu, times, mesh=args.mesh, pmap=_make_pmap(args.threads))
+    evolution = push_measure(system, driver, mu, times, mesh=args.mesh)
     rho_t = evolution.measure_at(args.time)
     lines = ["phi,value"]
     for i, phi in enumerate(phis):
@@ -234,11 +252,11 @@ def _cmd_verify(args) -> int:
         passed = report.passed
     elif args.target == "continuity":
         driver = _load_driver(args.driver)
-        system = system_from_json_dict(_read_json(args.fields))
+        system = _load_fields(args.fields)
         mu = _load_measure(args.mu)
-        phis = [function_from_json_dict(d) for d in _read_json(args.phis)["phis"]]
+        phis = _load_phis(args.phis)
         time_grid = np.linspace(0.0, driver.horizon, args.time_points)
-        evolution = push_measure(system, driver, mu, time_grid, mesh=args.mesh, pmap=pmap)
+        evolution = push_measure(system, driver, mu, time_grid, mesh=args.mesh)
         report = verify_continuity(system, driver, evolution, phis, time_grid,
                                    anchors_per_scale=args.anchors)
         checks = [c.to_json_dict() for _, c in sorted(report.checks.items(), key=lambda kv: kv[0].sort_key())]

@@ -38,7 +38,7 @@ import numpy as np
 from .algebra import GroupTensor, words_up_to
 from .errors import NumericalFailure
 from .functions import SmoothFunction
-from .rde import DerivedFieldTable, VectorFieldSystem, derive_fields
+from .rde import DerivedFieldTable, VectorFieldSystem, as_batch, derive_fields, solve_rde
 from .regression import OrderCheck, check_order
 from .roughpath import GeometricRoughPath
 
@@ -72,21 +72,26 @@ class JetSpace:
         self.dim = int(self.offsets[-1])
 
     def pack(self, blocks: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks])
+        """Flatten blocks into one vector, or one row per point when the
+        blocks carry a leading batch axis."""
+        batch = np.shape(blocks[0])[:-1]
+        return np.concatenate([np.asarray(b, dtype=float).reshape(batch + (-1,)) for b in blocks], axis=-1)
 
     def unpack(self, z: np.ndarray) -> list[np.ndarray]:
         z = np.asarray(z, dtype=float)
         return [
-            z[self.offsets[p]: self.offsets[p + 1]].reshape(self.block_shapes[p])
+            z[..., self.offsets[p]: self.offsets[p + 1]].reshape(z.shape[:-1] + self.block_shapes[p])
             for p in range(self.jet_order + 1)
         ]
 
     def canonical_state(self, x) -> np.ndarray:
-        """(x, I, 0, …, 0): the flow-derivative initial condition."""
+        """(x, I, 0, …, 0): the flow-derivative initial condition, per row
+        for a batch x of shape (M, n)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        blocks = [x, np.eye(self.n)]
+        batch = x.shape[:-1]
+        blocks = [x, np.broadcast_to(np.eye(self.n), batch + (self.n, self.n))]
         for p in range(2, self.jet_order + 1):
-            blocks.append(np.zeros((self.n,) * (p + 1)))
+            blocks.append(np.zeros(batch + (self.n,) * (p + 1)))
         return self.pack(blocks)
 
     def coordinate(self, flat_index: int) -> tuple[int, tuple[int, ...]]:
@@ -99,19 +104,18 @@ class JetSpace:
 def jet_apply(outer_stack: list[np.ndarray], inner_blocks: list[np.ndarray], p: int) -> np.ndarray:
     """p-th jet of outer ∘ inner from outer's derivative stack and inner's
     jet blocks: Σ_{π∈P(p)} D^{#π}outer(y_{|B_1|}, …) with argument slots
-    routed block-by-block."""
-    n = outer_stack[0].shape[0]
-    out = np.zeros((n,) * (p + 1))
+    routed block-by-block.  Leading batch axes, shared by all operands,
+    are carried through."""
     letters = "abcdefghijkl"
+    out = 0.0
     for partition in set_partitions(p):
         q = len(partition)
-        tensor = outer_stack[q]
-        operands = [tensor]
-        spec = ["z" + letters[:q]]
+        operands = [outer_stack[q]]
+        spec = ["...z" + letters[:q]]
         for j, block in enumerate(partition):
             operands.append(inner_blocks[len(block)])
-            spec.append(letters[j] + "".join(letters[q + pos] for pos in block))
-        out_spec = "z" + "".join(letters[q + pos] for pos in range(p))
+            spec.append("..." + letters[j] + "".join(letters[q + pos] for pos in block))
+        out_spec = "...z" + "".join(letters[q + pos] for pos in range(p))
         out = out + np.einsum(",".join(spec) + "->" + out_spec, *operands)
     return out
 
@@ -121,6 +125,7 @@ def jet_compose(outer_stack: list[np.ndarray], inner_blocks: list[np.ndarray]) -
 
     outer_stack[p] is D^p of the outer map at the inner base point;
     inner_blocks[0] is ignored for p >= 1 (jets chain, base points map).
+    Leading batch axes are carried through.
     """
     jet_order = len(inner_blocks) - 1
     out = [outer_stack[0]]
@@ -258,11 +263,15 @@ def lift_system(system: VectorFieldSystem, jet_order: int) -> tuple[VectorFieldS
 
 @dataclass
 class FlowJetPath:
-    """Jets of the flow along a solve: blocks[p][t] ≈ D^p X^{s,x}_t."""
+    """Jets of the flow along a solve: blocks[p][t] ≈ D^p X^{s,x}_t.
+
+    For a batch of M initial points every block carries an extra axis
+    after the time axis: blocks[p][t, m] belongs to the m-th point.
+    """
 
     space: JetSpace
     times: np.ndarray
-    blocks: list[np.ndarray]  # blocks[p]: (len(times),) + (n,)*(p+1)
+    blocks: list[np.ndarray]  # blocks[p]: (len(times),) [+ (M,)] + (n,)*(p+1)
 
     @property
     def states(self) -> np.ndarray:
@@ -272,9 +281,10 @@ class FlowJetPath:
         return self.blocks[p][index]
 
     def derivative(self, alpha: tuple[int, ...], index: int = -1) -> np.ndarray:
-        """∂^α X at a time index, as a vector in R^n."""
+        """∂^α X at a time index, as a vector in R^n (one row per point for
+        a batch)."""
         p = len(alpha)
-        idx = (index, slice(None)) + tuple(a - 1 for a in alpha)
+        idx = (index, Ellipsis, slice(None)) + tuple(a - 1 for a in alpha)
         return self.blocks[p][idx]
 
 
@@ -289,59 +299,48 @@ def solve_flow_jets(
 ) -> FlowJetPath:
     """Evolve the flow and its derivatives up to ``jet_order``.
 
-    method="extended" builds the lifted fields, derives their field table
-    and Davie-steps the single autonomous system in the jet space with
-    canonical initial data.  method="composed" forms each cell's local
-    Davie-map jets from the base-space table and chains them; the two
-    routes agree (tested) and the latter scales to repeated queries.
+    ``x0`` is one point (n,) or a batch (M, n) stepped together, one array
+    operation per cell against the shared increment.  method="extended"
+    builds the lifted fields, derives their field table and Davie-steps the
+    single autonomous system in the jet space with canonical initial data.
+    method="composed" forms each cell's local Davie-map jets from the
+    base-space table and chains them; the two routes agree (tested) and the
+    latter scales to repeated queries.  Blow-up raises NumericalFailure
+    naming the cell (and the row, for a batch).
     """
     partition = np.asarray(partition, dtype=float)
-    space = JetSpace(system.n, jet_order)
+    xs, single = as_batch(x0, system.n)
     if method == "extended":
-        from .rde import davie_step
-
         lifted, lspace = lift_system(system, jet_order)
         ltable = derive_fields(lifted, driver.level) if table is None else table
-        z = lspace.canonical_state(np.atleast_1d(np.asarray(x0, dtype=float)))
-        sol_states = np.empty((len(partition), lspace.dim))
-        sol_states[0] = z
-        for p in range(len(partition) - 1):
-            g = driver.increment(partition[p], partition[p + 1])
-            z = davie_step(z, ltable, g)
-            if not np.isfinite(z).all():
-                raise NumericalFailure(
-                    f"solve_flow_jets: blow-up on cell index {p}"
-                )
-            sol_states[p + 1] = z
-        blocks = [
-            np.stack([lspace.unpack(sol_states[i])[p] for i in range(len(partition))])
-            for p in range(jet_order + 1)
-        ]
+        states = solve_rde(lspace.canonical_state(xs), lifted, driver, partition, table=ltable).states
+        blocks = lspace.unpack(states[:, 0] if single else states)
         return FlowJetPath(space=lspace, times=partition, blocks=blocks)
     if method != "composed":
         raise ValueError(f"unknown jet method {method!r}")
 
     if table is None:
         table = derive_fields(system, driver.level)
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    current = [b.copy() for b in space.unpack(space.canonical_state(x))]
-    blocks = [np.empty((len(partition),) + space.block_shapes[p]) for p in range(jet_order + 1)]
-    for p in range(jet_order + 1):
-        blocks[p][0] = current[p]
+    space = JetSpace(system.n, jet_order)
+    words = words_up_to(driver.dim, driver.level)
+    current = space.unpack(space.canonical_state(xs))
+    trajectory = [current]
     for cell in range(len(partition) - 1):
         g = driver.increment(partition[cell], partition[cell + 1])
         stacks = table.jet_stacks(current[0], jet_order)
-        words = words_up_to(g.dim, g.level)
         davie_stack = []
         for q in range(jet_order + 1):
             block = np.stack([stacks[w][q] for w in words])
             davie_stack.append((g.tensor.array @ block.reshape(len(words), -1)).reshape(block.shape[1:]))
-        new_jets = jet_compose(davie_stack, current)
-        if not all(np.isfinite(b).all() for b in new_jets):
-            raise NumericalFailure(f"solve_flow_jets: blow-up on cell index {cell}")
-        current = new_jets
-        for p in range(jet_order + 1):
-            blocks[p][cell + 1] = current[p]
+        current = jet_compose(davie_stack, current)
+        finite = np.logical_and.reduce([np.isfinite(b).reshape(len(xs), -1).all(axis=1) for b in current])
+        if not finite.all():
+            row = "" if single else f", row {int(np.argmin(finite))}"
+            raise NumericalFailure(f"solve_flow_jets: blow-up on cell index {cell}{row}")
+        trajectory.append(current)
+    blocks = [np.stack([jets[p] for jets in trajectory]) for p in range(jet_order + 1)]
+    if single:
+        blocks = [b[:, 0] for b in blocks]
     return FlowJetPath(space=space, times=partition, blocks=blocks)
 
 

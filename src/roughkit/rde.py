@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -187,123 +188,133 @@ class DerivedFieldTable:
         F_{w·i}(x) = Σ_k (1/k!) Σ_{(u_1..u_k)} m · D^k f_i(x)(F_{u_1}(x), …),
         with m the shuffle multiplicity.  Independent of the recursion that
         backs ``field``; the two routes agreeing is a library invariant.
+        ``x`` is one point (n,) or a batch (M, n); each value has x's shape.
         """
-        x = np.asarray(x, dtype=float)
-        n, d = self.system.n, self.system.d
-        out: dict[Word, np.ndarray] = {EMPTY_WORD: x}
+        xs, single = as_batch(x, self.system.n)
+        fields = self.system.fields
+        out: dict[Word, np.ndarray] = {EMPTY_WORD: xs}
         tensors: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(1, d + 1):
-            out[Word((i,))] = self.system.fields[i - 1].value(x)
-        for length in range(2, self.depth + 1):
-            for w in words_up_to(d, length):
-                if len(w) != length:
-                    continue
-                head, last = w[:-1], w[-1]
-                acc = np.zeros(n)
-                for k in range(1, len(head) + 1):
-                    for parts, mult in deshuffles(head, k).weights.items():
-                        term = tensors.get((last, k))
-                        if term is None:
-                            term = self.system.fields[last - 1].deriv_tensor(x, k)
-                            tensors[(last, k)] = term
-                        for u in parts:
-                            term = term @ out[u]
-                        acc = acc + (mult / math.factorial(k)) * term
-                out[w] = acc
-        return out
+        for w in self.words[1:]:
+            if len(w) == 1:
+                out[w] = fields[w[0] - 1].values(xs)
+                continue
+            head, last = w[:-1], w[-1]
+            acc = np.zeros(xs.shape)
+            for k in range(1, len(head) + 1):
+                tensor = tensors.get((last, k))
+                if tensor is None:
+                    tensor = fields[last - 1].deriv_tensors(xs, k)
+                    tensors[(last, k)] = tensor
+                for parts, mult in deshuffles(head, k).weights.items():
+                    term = tensor
+                    for u in parts:
+                        term = contract_last(term, out[u])
+                    acc = acc + (mult / math.factorial(k)) * term
+            out[w] = acc
+        return {w: v[0] for w, v in out.items()} if single else out
 
     def recursion_values_at(self, x) -> dict[Word, np.ndarray]:
         """All F_w(x) through the smooth-function (prepend) route."""
-        return {w: self._fields[w].value(np.asarray(x, dtype=float)) for w in self.words}
+        xs, single = as_batch(x, self.system.n)
+        out = {w: self._fields[w].values(xs) for w in self.words}
+        return {w: v[0] for w, v in out.items()} if single else out
 
     # -- jet stacks -----------------------------------------------------------------
 
     def jet_stacks(self, x, pmax: int) -> dict[Word, list[np.ndarray]]:
-        """[D^p F_w(x) for p = 0..pmax] per word, as (n,)*(p+1) arrays.
+        """[D^p F_w(x) for p = 0..pmax] per word, as (n,)*(p+1) arrays, or
+        (M,) + (n,)*(p+1) arrays for a batch x of shape (M, n).
 
-        Polynomial tables evaluate all words and derivative orders through
-        one stacked coefficient matrix per multi-index (built once and
-        cached); generic tables fall back to per-word oracle calls.
+        The partials ∂^α F_w are evaluated once per sorted multi-index α
+        (polynomial tables through one compiled monomial sweep, generic ones
+        through per-word oracle calls) and gathered into the full symmetric
+        tensors by a precomputed index.
         """
-        x = np.asarray(x, dtype=float)
+        n = self.system.n
+        xs, single = as_batch(x, n)
+        alphas, gathers = _symmetric_gather(n, pmax)
         if self.polynomial:
             evaluator = self._stack_cache.get(pmax)
             if evaluator is None:
-                evaluator = _StackedPolyJets(self, pmax)
+                evaluator = _StackedPolyJets(self, alphas)
                 self._stack_cache[pmax] = evaluator
-            return evaluator.stacks(x)
-        n = self.system.n
-        out: dict[Word, list[np.ndarray]] = {}
-        for w in self.words:
-            fn = self._fields[w]
-            stack = [fn.value(x)]
-            for p in range(1, pmax + 1):
-                tensor = np.empty((n,) * (p + 1))
-                for alpha in itertools.combinations_with_replacement(range(1, n + 1), p):
-                    val = fn.partial(x, alpha)
-                    for perm in set(itertools.permutations(alpha)):
-                        idx = tuple(a - 1 for a in perm)
-                        tensor[(slice(None),) + idx] = val
-                stack.append(tensor)
-            out[w] = stack
+            vals = evaluator(xs)
+        else:
+            vals = np.empty((len(xs), len(alphas), len(self.words), n))
+            for a, alpha in enumerate(alphas):
+                for widx, w in enumerate(self.words):
+                    vals[:, a, widx] = self._fields[w].partials(xs, alpha)
+        out: dict[Word, list[np.ndarray]] = {w: [] for w in self.words}
+        for p, gather in enumerate(gathers):
+            # (M, n^p, W, n) -> (M, W, n, n, …, n): the output slot, then the arguments.
+            full = np.moveaxis(vals[:, gather], 1, -1)
+            full = full.reshape(full.shape[:3] + (n,) * p)
+            for widx, w in enumerate(self.words):
+                out[w].append(full[0, widx] if single else full[:, widx])
         return out
+
+
+def as_batch(x, n: int, what: str = "point") -> tuple[np.ndarray, bool]:
+    """x as an (M, n) batch of points, and whether it was a single point."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim <= 1
+    xs = np.atleast_1d(x)[None, :] if single else x
+    if xs.ndim != 2 or xs.shape[1] != n:
+        raise ValueError(f"{what} must lie in R^{n} (shape ({n},) or (M, {n})), got shape {x.shape}")
+    return xs, single
+
+
+def contract_last(tensor: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Σ_j tensor[m, …, j] vectors[m, j], row by row over the batch axis m."""
+    m, n = vectors.shape
+    return np.matmul(tensor.reshape(m, -1, n), vectors[:, :, None]).reshape(tensor.shape[:-1])
+
+
+@lru_cache(maxsize=None)
+def _symmetric_gather(n: int, pmax: int) -> tuple[tuple[tuple[int, ...], ...], tuple[np.ndarray, ...]]:
+    """The sorted multi-indices α over {1..n} with |α| <= pmax, and for each
+    order p the position in that list of sorted(i_1..i_p) for every entry
+    (i_1, …, i_p) of an (n,)*p tensor in C order."""
+    letters = range(1, n + 1)
+    alphas = tuple(a for p in range(pmax + 1) for a in itertools.combinations_with_replacement(letters, p))
+    position = {alpha: a for a, alpha in enumerate(alphas)}
+    gathers = tuple(
+        np.array([position[tuple(sorted(idx))] for idx in itertools.product(letters, repeat=p)], dtype=np.intp)
+        for p in range(pmax + 1)
+    )
+    return alphas, gathers
 
 
 class _StackedPolyJets:
-    """Jet stacks of a polynomial table through one matmul per multi-index.
+    """∂^α F_w of a polynomial table for all sorted α and words at once.
 
-    For each sorted multi-index α (order <= pmax) concatenates the derived
-    polynomials ∂^α F_w of every table word into a single exponent/
-    coefficient matrix, so evaluating all words at a point costs one
-    monomial sweep per α.  Built once per (table, pmax) and cached.
+    The derived polynomials of every (α, word) pair are compiled into one
+    exponent matrix over their union of monomials and one coefficient
+    matrix, so a batch of points costs one monomial sweep and one matmul.
+    Built once per (table, pmax) and cached.
     """
 
-    def __init__(self, table: DerivedFieldTable, pmax: int):
+    def __init__(self, table: DerivedFieldTable, alphas: Sequence[tuple[int, ...]]):
         n = table.system.n
-        self.n = n
-        self.pmax = pmax
-        self.words = table.words
-        self.alphas = [
-            alpha
-            for p in range(pmax + 1)
-            for alpha in itertools.combinations_with_replacement(range(1, n + 1), p)
-        ]
-        self._per_alpha: list[tuple[np.ndarray, np.ndarray]] = []
-        for alpha in self.alphas:
-            derived = [table.field(w).derived(alpha) for w in self.words]
-            expos = sorted({e for fn in derived for comp in fn.components for e in comp})
-            index = {e: i for i, e in enumerate(expos)}
-            expo_matrix = np.asarray(expos, dtype=float).reshape(len(expos), n)
-            coeff = np.zeros((len(expos), len(self.words) * n))
-            for widx, fn in enumerate(derived):
+        words = table.words
+        derived = [[table.field(w).derived(alpha) for w in words] for alpha in alphas]
+        expos = sorted({e for row in derived for fn in row for comp in fn.components for e in comp})
+        index = {e: i for i, e in enumerate(expos)}
+        coeff = np.zeros((len(expos), len(alphas), len(words), n))
+        for a, row in enumerate(derived):
+            for widx, fn in enumerate(row):
                 for c, comp in enumerate(fn.components):
                     for e, val in comp.items():
-                        coeff[index[e], widx * n + c] = val
-            self._per_alpha.append((expo_matrix, coeff))
+                        coeff[index[e], a, widx, c] = val
+        self.expos = np.asarray(expos, dtype=float).reshape(len(expos), n)
+        self.coeff = coeff.reshape(len(expos), -1)
+        self.shape = coeff.shape[1:]
 
-    def stacks(self, x: np.ndarray) -> dict[Word, list[np.ndarray]]:
-        n = self.n
-        vals: dict[tuple[int, ...], np.ndarray] = {}
-        for alpha, (expos, coeff) in zip(self.alphas, self._per_alpha):
-            if expos.shape[0] == 0:
-                vals[alpha] = np.zeros(len(self.words) * n)
-            else:
-                monomials = np.prod(x[None, :] ** expos, axis=1)
-                vals[alpha] = monomials @ coeff
-        out: dict[Word, list[np.ndarray]] = {}
-        for widx, w in enumerate(self.words):
-            sl = slice(widx * n, (widx + 1) * n)
-            stack = [vals[()][sl]]
-            for p in range(1, self.pmax + 1):
-                tensor = np.empty((n,) * (p + 1))
-                for alpha in itertools.combinations_with_replacement(range(1, n + 1), p):
-                    val = vals[alpha][sl]
-                    for perm in set(itertools.permutations(alpha)):
-                        idx = tuple(a - 1 for a in perm)
-                        tensor[(slice(None),) + idx] = val
-                stack.append(tensor)
-            out[w] = stack
-        return out
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        """Values of shape (M, len(alphas), len(words), n)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            monomials = np.prod(xs[:, None, :] ** self.expos[None, :, :], axis=2)
+            return (monomials @ self.coeff).reshape(xs.shape[:1] + self.shape)
 
 
 def derive_fields(system: VectorFieldSystem, depth: int) -> DerivedFieldTable:
@@ -318,6 +329,7 @@ def derive_fields(system: VectorFieldSystem, depth: int) -> DerivedFieldTable:
 def davie_step(x, table: DerivedFieldTable, g: GroupTensor, route: str = "shuffle") -> np.ndarray:
     """One local Davie update: Σ_{|w| <= N} F_w(x)⟨g, e_w⟩.
 
+    ``x`` is one state (n,) or a batch (M, n) sharing the increment g.
     ``route`` selects the table evaluation ("shuffle" for the bottom-up
     append form, "recursion" for the smooth-function route); both sides are
     maintained and tested as equal.
@@ -326,24 +338,34 @@ def davie_step(x, table: DerivedFieldTable, g: GroupTensor, route: str = "shuffl
         raise ValueError(
             f"increment level {g.level} does not match table depth {table.depth}"
         )
-    x = np.asarray(x, dtype=float)
     values = table.values_at(x) if route == "shuffle" else table.recursion_values_at(x)
-    return g.tensor.array @ np.stack([values[w] for w in words_up_to(g.dim, g.level)])
+    stacked = np.stack([values[w] for w in words_up_to(g.dim, g.level)])
+    return (g.tensor.array @ stacked.reshape(len(stacked), -1)).reshape(stacked.shape[1:])
 
 
 @dataclass
 class RdeSolution:
     """A Davie-scheme solve plus its controlled lift and residual hook."""
 
-    states: np.ndarray  # (len(times), n)
+    states: np.ndarray  # (len(times), n), or (len(times), M, n) for a batch
     times: np.ndarray
-    path: ControlledPath
     table: DerivedFieldTable
     driver: GeometricRoughPath
     system: VectorFieldSystem
 
     def terminal(self) -> np.ndarray:
         return self.states[-1]
+
+    @cached_property
+    def path(self) -> ControlledPath:
+        """The controlled lift with coefficients F_w(X_t) (order capped at
+        N_γ+1), built on first access by one batched table evaluation."""
+        if self.states.ndim != 2:
+            raise ValueError("the controlled lift is defined for one trajectory, not a batch")
+        order = min(self.driver.level, self.driver.hoelder_level) + 1
+        values = self.table.values_at(self.states)
+        coeffs = {w: values[w] for w in words_up_to(self.system.d, order - 1)}
+        return ControlledPath(self.driver, order, self.system.n, self.times, coeffs)
 
     def fixed_point_residual(self) -> float:
         """A posteriori defect of the integral fixed-point form.
@@ -374,9 +396,10 @@ def solve_rde(
 ) -> RdeSolution:
     """Iterate the Davie update over a partition of [0, T].
 
-    Uses exact driver increments per cell at the driver's own truncation
-    level and emits the controlled lift with coefficients F_w(X_t) (order
-    capped at N_γ+1).  Blow-up raises NumericalFailure naming the cell.
+    ``x0`` is one initial state (n,) or a batch (M, n); a batch is stepped
+    as one array per cell against one shared increment, at the driver's own
+    truncation level.  Blow-up raises NumericalFailure naming the cell (and
+    the row, for a batch).  The controlled lift is built lazily by ``path``.
     """
     partition = np.asarray(partition, dtype=float)
     if partition.ndim != 1 or len(partition) < 1:
@@ -384,34 +407,25 @@ def solve_rde(
     system.require_order(driver.level, "solve_rde")
     if table is None:
         table = derive_fields(system, driver.level)
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (system.n,):
-        raise ValueError(f"initial state must lie in R^{system.n}")
-    states = np.empty((len(partition), system.n))
-    states[0] = x
+    xs, single = as_batch(x0, system.n, "initial state")
+    states = np.empty((len(partition),) + xs.shape)
+    states[0] = xs
     # Divergence shows up as non-finite states; suppress the intermediate
     # overflow warnings and report the offending cell instead.
     with np.errstate(invalid="ignore", over="ignore"):
         for p in range(len(partition) - 1):
             g = driver.increment(partition[p], partition[p + 1])
-            x = davie_step(x, table, g)
-            if not np.isfinite(x).all():
+            xs = davie_step(xs, table, g)
+            finite = np.isfinite(xs).all(axis=1)
+            if not finite.all():
+                row = "" if single else f", row {int(np.argmin(finite))}"
                 raise NumericalFailure(
                     f"solve_rde: state blew up on cell [{partition[p]:.6g}, "
-                    f"{partition[p + 1]:.6g}] (index {p})"
+                    f"{partition[p + 1]:.6g}] (index {p}){row}"
                 )
-            states[p + 1] = x
-    order = min(driver.level, driver.hoelder_level) + 1
-    coeffs: dict[Word, np.ndarray] = {}
-    for w in words_up_to(system.d, order - 1):
-        coeffs[w] = np.empty((len(partition), system.n))
-    for idx in range(len(partition)):
-        vals = table.values_at(states[idx])
-        for w in list(coeffs):
-            coeffs[w][idx] = vals[w]
-    path = ControlledPath(driver, order, system.n, partition, coeffs)
+            states[p + 1] = xs
     return RdeSolution(
-        states=states, times=partition, path=path, table=table, driver=driver, system=system
+        states=states[:, 0] if single else states, times=partition, table=table, driver=driver, system=system
     )
 
 
@@ -567,6 +581,18 @@ def gamma_by_composition(w: Word, system: VectorFieldSystem, phi: SmoothFunction
 # Itô identity and graded Itô-Davie defects.
 # ---------------------------------------------------------------------------
 
+def pair_increment_coeffs(
+    driver: GeometricRoughPath, times: np.ndarray, scales: Sequence[tuple[object, Sequence[tuple[int, int]]]]
+) -> dict[tuple[int, int], list[float]]:
+    """⟨W_{t_i t_j}, e_v⟩ for every word v in canonical order, computed once
+    per pair (i, j) of the scales; the words up to any length are a prefix."""
+    return {
+        (i, j): driver.increment(times[i], times[j]).tensor.array.tolist()
+        for _, pairs in scales
+        for i, j in pairs
+    }
+
+
 class ItoReport(NamedTuple):
     identity_residual: float
     graded: dict[Word, OrderCheck]
@@ -608,18 +634,17 @@ def ito_check(
 
     graded: dict[Word, OrderCheck] = {}
     scales = dyadic_pairs(len(times), min_pairs=8)
+    coeffs = pair_increment_coeffs(driver, times, scales)
     for w in words_up_to(driver.dim, n_gamma):
         spans: list[float] = []
         defects: list[float] = []
         for stride, pairs in scales:
             cell = []
             for i, j in pairs:
-                inc = driver.increment(times[i], times[j])
                 expansion = np.zeros(1)
                 # Expansions along the flow compose the new letters
                 # outermost: the ⟨W, e_v⟩ coefficient is Γ_{vw}φ.
-                for v in words_up_to(driver.dim, n_gamma - len(w)):
-                    c = inc.coeff(v)
+                for v, c in zip(words_up_to(driver.dim, n_gamma - len(w)), coeffs[(i, j)]):
                     if c != 0.0:
                         expansion = expansion + c * lifted.coeff(v + w)[i]
                 cell.append(float(np.max(np.abs(lifted.coeff(w)[j] - expansion))))

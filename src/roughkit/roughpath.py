@@ -145,6 +145,8 @@ class GeometricRoughPath:
             raise ValueError("all basepoints must share the truncation level")
         if any(g.dim != basepoints[0].dim or g.tensor.array.ndim != 1 for g in basepoints):
             raise ValueError("basepoints must be single group elements of one alphabet size")
+        if generator is not None and not np.array_equal(generator.times, times):
+            raise ValueError("a generating path must have the basepoint times as its knots")
         self.gamma = float(gamma)
         self.level = int(level)
         self.times = times
@@ -188,7 +190,11 @@ class GeometricRoughPath:
         left, right = self.times[j], self.times[j + 1]
         theta = (t - left) / (right - left)
         if self.generator is not None:
-            delta = self.generator.value_at(t) - self.generator.value_at(left)
+            # np.interp's formula on the knot interval, for all coordinates
+            # at once; the generator's knots are the basepoint times.
+            values = self.generator.values
+            slope = (values[j + 1] - values[j]) / (right - left)
+            delta = (slope * (t - left) + values[j]) - values[j]
             partial = _segment_exp(delta, self.level)
         else:
             log_inc = self._segment_log_cache.get(j)

@@ -36,7 +36,15 @@ import numpy as np
 from .algebra import EMPTY_WORD, Word, deshuffles, words_up_to
 from .functions import JetFunction, SmoothFunction, compose_partial
 from .jets import solve_flow_jets
-from .rde import DerivedFieldTable, VectorFieldSystem, derive_fields, solve_rde
+from .rde import (
+    DerivedFieldTable,
+    VectorFieldSystem,
+    as_batch,
+    contract_last,
+    derive_fields,
+    pair_increment_coeffs,
+    solve_rde,
+)
 from .regression import SLOPE_MARGIN, OrderCheck, check_order, dyadic_pairs
 from .roughpath import GeometricRoughPath
 
@@ -96,25 +104,34 @@ def solve_transport(
     mesh: float,
     pmap: PMap | None = None,
 ) -> np.ndarray:
-    """u(s, x) = g(X^{s,x}_T) for each query, by independent flow solves.
+    """u(s, x) = g(X^{s,x}_T) for each query, by flow solves.
 
-    Queries at s = T return g(x) exactly.  Queries are independent; the
-    supplied parallel map (ordered) distributes them.
+    Queries sharing a start time s share a partition and are stepped as one
+    batch; queries at s = T return g(x) exactly.  The start-time groups are
+    independent; the supplied parallel map (ordered) distributes them.
     """
     pmap = pmap or _serial_map
     driver = problem.driver
+    n = problem.fields.n
     table = derive_fields(problem.fields, driver.level)
+    queries = list(queries)
+    groups: dict[float, list[int]] = {}
+    for q, (s, _) in enumerate(queries):
+        groups.setdefault(float(s), []).append(q)
 
-    def run(query):
-        s, x = query
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        partition = solve_partition(driver, float(s), problem.horizon, mesh)
-        if len(partition) == 1:
-            return float(problem.terminal.value(x)[0])
-        sol = solve_rde(x, problem.fields, driver, partition, table=table)
-        return float(problem.terminal.value(sol.terminal())[0])
+    def run(group):
+        s, members = group
+        points = np.stack([np.atleast_1d(np.asarray(queries[q][1], dtype=float)) for q in members])
+        xs, _ = as_batch(points, n, "query point")
+        partition = solve_partition(driver, s, problem.horizon, mesh)
+        if len(partition) > 1:
+            xs = solve_rde(xs, problem.fields, driver, partition, table=table).terminal()
+        return problem.terminal.values(xs)[:, 0]
 
-    return np.array(pmap(run, list(queries)))
+    values = np.empty(len(queries))
+    for (_, members), group_values in zip(groups.items(), pmap(run, list(groups.items()))):
+        values[members] = group_values
+    return values
 
 
 class FlowSolutionOracle:
@@ -123,7 +140,9 @@ class FlowSolutionOracle:
     For a query (s, x) solves the flow jets from s to the horizon at x
     (composed-jet stepping on a knot-respecting partition) and chains the
     terminal data through them, yielding a point-local oracle for
-    ∂^α u_s(x) up to the jet order.  Results are cached per (s, x).
+    ∂^α u_s(x) up to the jet order.  A query may hold a batch of points
+    (M, n): the points not yet cached share one batched flow-jet solve.
+    Results are cached per (s, x).
     """
 
     def __init__(
@@ -155,45 +174,35 @@ class FlowSolutionOracle:
         self.table = derive_fields(problem.fields, self.solve_driver.level)
         self._cache: dict[tuple[float, bytes], JetFunction] = {}
 
-    def __call__(self, s: float, x) -> JetFunction:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        key = (float(s), x.tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def __call__(self, s: float, x) -> JetFunction | list[JetFunction]:
+        """The jet oracle of u_s at x (n,), or a list of them for x (M, n)."""
         problem = self.problem
-        partition = solve_partition(self.solve_driver, float(s), problem.horizon, self.mesh)
         n = problem.fields.n
-        if len(partition) == 1:
-            flow_partials = {}
-            for p in range(1, self.jet_order + 1):
-                for alpha in itertools.combinations_with_replacement(range(1, n + 1), p):
-                    if p == 1:
-                        vec = np.zeros(n)
-                        vec[alpha[0] - 1] = 1.0
-                    else:
-                        vec = np.zeros(n)
-                    flow_partials[alpha] = vec
-            flow = JetFunction(x, x.copy(), flow_partials, self.jet_order)
-        else:
+        xs, single = as_batch(x, n)
+        keys = [(float(s), row.tobytes()) for row in xs]
+        missing = {key: row for key, row in zip(keys, xs) if key not in self._cache}
+        if missing:
+            points = np.stack(list(missing.values()))
+            partition = solve_partition(self.solve_driver, float(s), problem.horizon, self.mesh)
+            # A one-point partition leaves the canonical jets (x, I, 0, …).
             jets = solve_flow_jets(
-                x, problem.fields, self.solve_driver, partition, self.jet_order,
+                points, problem.fields, self.solve_driver, partition, self.jet_order,
                 method="composed", table=self.table,
             )
-            flow_partials = {}
-            for p in range(1, self.jet_order + 1):
-                block = jets.jet(p)
-                for alpha in itertools.combinations_with_replacement(range(1, n + 1), p):
-                    idx = (slice(None),) + tuple(a - 1 for a in alpha)
-                    flow_partials[alpha] = block[idx]
-            flow = JetFunction(x, jets.states[-1], flow_partials, self.jet_order)
-        u_partials = {}
-        for p in range(1, self.jet_order + 1):
-            for alpha in itertools.combinations_with_replacement(range(1, n + 1), p):
-                u_partials[alpha] = compose_partial(problem.terminal, flow, x, alpha)
-        out = JetFunction(x, problem.terminal.value(flow.value(x)), u_partials, self.jet_order)
-        self._cache[key] = out
-        return out
+            alphas = [
+                alpha
+                for p in range(1, self.jet_order + 1)
+                for alpha in itertools.combinations_with_replacement(range(1, n + 1), p)
+            ]
+            for m, (key, x_m) in enumerate(missing.items()):
+                flow_partials = {alpha: jets.derivative(alpha)[m] for alpha in alphas}
+                flow = JetFunction(x_m, jets.states[-1][m], flow_partials, self.jet_order)
+                u_partials = {alpha: compose_partial(problem.terminal, flow, x_m, alpha) for alpha in alphas}
+                self._cache[key] = JetFunction(
+                    x_m, problem.terminal.value(flow.value(x_m)), u_partials, self.jet_order
+                )
+        out = [self._cache[key] for key in keys]
+        return out[0] if single else out
 
 
 def _gamma_values_from_oracle(
@@ -202,29 +211,32 @@ def _gamma_values_from_oracle(
     x: np.ndarray,
     f_values: dict[Word, np.ndarray],
     max_len: int,
-) -> dict[Word, float]:
+) -> dict[Word, float] | dict[Word, np.ndarray]:
     """Γ_w fn(x) for all |w| <= max_len from the derivative data of fn.
 
-    Γ_wfn(x) = Σ_k (1/k!) Σ m·D^k fn(x)(F_{u_1}(x), …); Γ_ε = fn(x).
+    Γ_wfn(x) = Σ_k (1/k!) Σ m·D^k fn(x)(F_{u_1}(x), …); Γ_ε = fn(x).  For a
+    point x (n,) the values are floats; for a batch x (M, n), with
+    ``f_values`` from ``table.values_at`` on the same batch, they are (M,)
+    arrays.
     """
-    out: dict[Word, float] = {EMPTY_WORD: float(fn.value(x)[0])}
+    xs, single = as_batch(x, table.system.n)
+    f = {u: np.reshape(v, xs.shape) for u, v in f_values.items()}
+    out: dict[Word, np.ndarray] = {EMPTY_WORD: fn.values(xs)[:, 0]}
     tensors: dict[int, np.ndarray] = {}
-    for w in words_up_to(table.system.d, max_len):
-        if len(w) == 0:
-            continue
-        total = 0.0
+    for w in words_up_to(table.system.d, max_len)[1:]:
+        total = np.zeros(len(xs))
         for k in range(1, len(w) + 1):
             t = tensors.get(k)
             if t is None:
-                t = fn.deriv_tensor(x, k)[0]
+                t = fn.deriv_tensors(xs, k)[:, 0]
                 tensors[k] = t
             for parts, mult in deshuffles(w, k).weights.items():
                 term = t
                 for u in parts:
-                    term = term @ f_values[u]
-                total += (mult / math.factorial(k)) * float(term)
+                    term = contract_last(term, f[u])
+                total = total + (mult / math.factorial(k)) * term
         out[w] = total
-    return out
+    return {w: float(v[0]) for w, v in out.items()} if single else out
 
 
 class GradedReport(NamedTuple):
@@ -289,22 +301,27 @@ def verify_transport(
     n_gamma = driver.hoelder_level
     time_grid = np.asarray(time_grid, dtype=float)
     space_grid = [np.atleast_1d(np.asarray(x, dtype=float)) for x in space_grid]
+    points = np.stack(space_grid)
     table = derive_fields(problem.fields, max(driver.level, n_gamma))
     if words is None:
         words = [w for w in words_up_to(driver.dim, n_gamma)]
     scales = _select_time_pairs(time_grid, anchors_per_scale)
     needed_times = sorted({time_grid[i] for _, pairs in scales for pair in pairs for i in pair})
+    coeffs = pair_increment_coeffs(driver, time_grid, scales)
 
-    f_cache = {x.tobytes(): table.values_at(x) for x in space_grid}
+    f_values = table.values_at(points)
+    f_at = [{u: v[m] for u, v in f_values.items()} for m in range(len(points))]
 
     def gamma_data(t):
-        per_point = {}
-        for x in space_grid:
-            fn = u_oracle(t, x)
-            per_point[x.tobytes()] = _gamma_values_from_oracle(
-                table, fn, x, f_cache[x.tobytes()], n_gamma
-            )
-        return per_point
+        # A flow-built oracle solves the whole grid in one batched pass.
+        if isinstance(u_oracle, FlowSolutionOracle):
+            fns = u_oracle(t, points)
+        else:
+            fns = [u_oracle(t, x) for x in space_grid]
+        return [
+            _gamma_values_from_oracle(table, fn, x, f, n_gamma)
+            for fn, x, f in zip(fns, space_grid, f_at)
+        ]
 
     gamma_at = dict(zip(needed_times, pmap(gamma_data, needed_times)))
 
@@ -315,16 +332,13 @@ def verify_transport(
             vals = []
             for i, j in pairs:
                 s, t = time_grid[i], time_grid[j]
-                inc = driver.increment(s, t)
                 worst = 0.0
-                for x in space_grid:
-                    key = x.tobytes()
-                    lhs = gamma_at[s][key][w]
+                for at_s, at_t in zip(gamma_at[s], gamma_at[t]):
+                    lhs = at_s[w]
                     rhs = 0.0
-                    for v in words_up_to(driver.dim, n_gamma - len(w)):
-                        c = inc.coeff(v)
+                    for v, c in zip(words_up_to(driver.dim, n_gamma - len(w)), coeffs[(i, j)]):
                         if c != 0.0:
-                            rhs += c * gamma_at[t][key][w + v]
+                            rhs += c * at_t[w + v]
                     worst = max(worst, abs(lhs - rhs))
                 vals.append(worst)
             spans.append(span)
@@ -417,15 +431,13 @@ def push_measure(
     mu: ParticleMeasure,
     times,
     mesh: float,
-    pmap: PMap | None = None,
 ) -> ParticleEvolution:
     """Push the particle cloud through the rough flow, sampling at times.
 
-    One independent flow solve per particle (parallel-map friendly); the
-    sample times are merged into the solve partition so positions are read
-    off exactly.
+    The whole cloud is stepped as one (M, n) batch per cell against the
+    shared increment; the sample times are merged into the solve partition
+    so positions are read off exactly.
     """
-    pmap = pmap or _serial_map
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("evolution must start at time 0")
@@ -434,14 +446,8 @@ def push_measure(
     partition = solve_partition(driver, 0.0, end, mesh)
     partition = np.unique(np.concatenate([partition, times]))
     sample_idx = [int(np.argmin(np.abs(partition - t))) for t in times]
-
-    def run(x0):
-        sol = solve_rde(x0, fields, driver, partition, table=table)
-        return sol.states[sample_idx]
-
-    tracks = pmap(run, [mu.points[m] for m in range(mu.size)])
-    positions = np.stack(tracks, axis=1)  # (times, M, n)
-    return ParticleEvolution(times=times, positions=positions, weights=mu.weights.copy())
+    states = solve_rde(mu.points, fields, driver, partition, table=table).states
+    return ParticleEvolution(times=times, positions=states[sample_idx], weights=mu.weights.copy())
 
 
 def solve_continuity(
@@ -451,10 +457,9 @@ def solve_continuity(
     t: float,
     phis: Sequence[SmoothFunction],
     mesh: float,
-    pmap: PMap | None = None,
 ) -> np.ndarray:
     """ρ_t(φ) = Σ_j w_j φ(X^{0,x_j}_t) for each test function φ."""
-    evolution = push_measure(fields, driver, mu, np.array([0.0, t]) if t > 0 else np.array([0.0]), mesh, pmap)
+    evolution = push_measure(fields, driver, mu, np.array([0.0, t]) if t > 0 else np.array([0.0]), mesh)
     rho_t = evolution.measure_at(t)
     return np.array([rho_t.pair_function(phi) for phi in phis])
 
@@ -484,21 +489,16 @@ def verify_continuity(
         words = [w for w in words_up_to(driver.dim, n_gamma)]
     scales = _select_time_pairs(time_grid, anchors_per_scale)
     needed_times = sorted({time_grid[i] for _, pairs in scales for pair in pairs for i in pair})
+    coeffs = pair_increment_coeffs(driver, time_grid, scales)
 
-    # ρ_t(Γ_wφ) tables: evaluate Γ_wφ at the particle points per time.
+    # ρ_t(Γ_wφ) tables: evaluate Γ_wφ at all particle points once per time.
     pairings: dict[tuple[float, int], dict[Word, float]] = {}
     for t in needed_times:
         measure = rho(t)
+        f_values = table.values_at(measure.points)
         for p_idx, phi in enumerate(phis):
-            acc: dict[Word, float] = {w: 0.0 for w in words_up_to(driver.dim, n_gamma)}
-            for m in range(measure.size):
-                x = measure.points[m]
-                gv = _gamma_values_from_oracle(
-                    table, phi, x, table.values_at(x), n_gamma
-                )
-                for w in acc:
-                    acc[w] += measure.weights[m] * gv[w]
-            pairings[(t, p_idx)] = acc
+            gv = _gamma_values_from_oracle(table, phi, measure.points, f_values, n_gamma)
+            pairings[(t, p_idx)] = {w: float(measure.weights @ v) for w, v in gv.items()}
 
     checks: dict[Word, OrderCheck] = {}
     for w in words:
@@ -507,15 +507,13 @@ def verify_continuity(
             vals = []
             for i, j in pairs:
                 s, t = time_grid[i], time_grid[j]
-                inc = driver.increment(s, t)
                 worst = 0.0
                 for p_idx in range(len(phis)):
                     lhs = pairings[(t, p_idx)][w]
                     rhs = 0.0
                     # Forward (along-the-flow) expansion: new letters act
                     # outermost, so the ⟨W, e_v⟩ coefficient is Γ_{vw}φ.
-                    for v in words_up_to(driver.dim, n_gamma - len(w)):
-                        c = inc.coeff(v)
+                    for v, c in zip(words_up_to(driver.dim, n_gamma - len(w)), coeffs[(i, j)]):
                         if c != 0.0:
                             rhs += c * pairings[(s, p_idx)][v + w]
                     worst = max(worst, abs(lhs - rhs))
@@ -565,9 +563,8 @@ def duality_check(
     particle and grid time, and reports the worst drift of the pairing
     from its initial value.
     """
-    pmap = pmap or _serial_map
     grid = np.asarray(grid, dtype=float)
-    evolution = push_measure(problem.fields, problem.driver, mu, grid, mesh, pmap)
+    evolution = push_measure(problem.fields, problem.driver, mu, grid, mesh)
     queries = []
     for r in grid:
         measure = evolution.measure_at(r)

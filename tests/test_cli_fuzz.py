@@ -162,3 +162,31 @@ def test_bad_driver_is_an_input_error(files, index, message):
     code, err = run(["rde", "--driver", files["driver"][index], "--fields", files["fields"][0],
                      "--x0", "0.1,0.2", "--out", files["out"]])
     assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("option, payload", [
+    ("--driver", {"gamma": 0.5, "level": 2, "times": [0.0, 1.0],
+                  "basepoints": [{"d": 2, "level": 2, "terms": [{"word": 1, "value": 1.0}]}] * 2}),
+    ("--driver", ["not", "a", "rough", "path"]),
+    ("--fields", {"n": 2, "d": 2, "fields": 5}),
+    ("--fields", {"n": 2, "d": 1, "fields": [{"family": "polynomial", "n_in": 2, "components": [7]}]}),
+    ("--terminal", {"family": "polynomial", "n_in": 2, "components": [[{"exponents": 2, "coeff": 1.0}]]}),
+    ("--phis", {"phis": [{"family": "trig", "n_in": 2, "components": [[{"amp": 1.0}]]}]}),
+    ("--phis", {"phis": 3}),
+])
+def test_wrong_structure_json_is_an_input_error(files, tmp_path, option, payload):
+    bad = tmp_path / "wrong_structure.json"
+    bad.write_text(json.dumps(payload))
+    given_files = {
+        "--driver": files["driver"][0], "--fields": files["fields"][0],
+        "--terminal": files["terminal"][0], "--phis": files["phis"][0], option: str(bad),
+    }
+    if option == "--phis":
+        argv = ["continuity", "--mu", files["mu"][0], "--time", "0.5", "--phis", given_files["--phis"]]
+    else:
+        argv = ["transport", "--query", files["query"][0], "--terminal", given_files["--terminal"]]
+    argv += ["--driver", given_files["--driver"], "--fields", given_files["--fields"],
+             "--mesh", "0.25", "--out", files["out"]]
+    code, err = run(argv)
+    assert code == 2, err
+    assert str(bad) in err and "Traceback" not in err

@@ -317,3 +317,28 @@ def test_fbm_cholesky_failure_reported(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", boom)
     with pytest.raises(NumericalFailure, match="sample_fbm"):
         sample_fbm(H=0.5, d=1, knots=8, seed=0)
+
+
+def test_off_grid_basepoint_matches_per_coordinate_interpolation():
+    # W_t between knots is W_left ⋆ exp(X_t − X_left), with X_t interpolated
+    # coordinate by coordinate by np.interp; the one-expression form must
+    # reproduce it to 1e-15 on lift_pl drivers of every alphabet size.
+    rng = np.random.default_rng(41)
+    for d, level, knots in [(1, 3, 5), (2, 3, 17), (3, 4, 9)]:
+        path = sample_fbm(H=0.4, d=d, knots=knots, seed=d)
+        rp = lift_pl(path, gamma=0.3, level=level)
+        for t in np.concatenate([rng.uniform(0.0, 1.0, 25), [1e-9, 1.0 - 1e-9]]):
+            j = int(np.searchsorted(path.times, t)) - 1
+            at_t = np.array([np.interp(t, path.times, path.values[:, c]) for c in range(d)])
+            at_left = np.array([np.interp(path.times[j], path.times, path.values[:, c]) for c in range(d)])
+            step = tensor_exp(TruncatedTensor.from_vector(at_t - at_left, level))
+            want = rp.basepoints[j].convolve(step)
+            assert max_coeff_diff(rp.basepoint_at(t).tensor, want.tensor) <= 1e-15, (d, t)
+
+
+def test_generator_knots_must_be_the_basepoint_times():
+    path = sample_fbm(H=0.6, d=2, knots=5, seed=1)
+    rp = lift_pl(path, gamma=0.5)
+    other = PiecewiseLinearPath(times=np.linspace(0.0, 1.0, 5) ** 2, values=path.values)
+    with pytest.raises(ValueError, match="knots"):
+        GeometricRoughPath(rp.gamma, rp.level, rp.times, rp.basepoints, generator=other)
