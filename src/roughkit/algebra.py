@@ -292,6 +292,43 @@ def _character_table(d: int, level: int):
     return (pairs,) + _frozen(u[first], v[first], w, m, np.cumsum(starts_pair) - 1)
 
 
+class ExpansionPlan(NamedTuple):
+    """A graded expansion compiled by ``expansion_plan``."""
+
+    targets: int
+    arities: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=None)
+def expansion_plan(d: int, lo: int, hi: int) -> ExpansionPlan:
+    """Σ_k (1/k!) Σ m·D^kφ(V_{u_1}, …, V_{u_k}) over the deshuffle tuples
+    of each target word w, lo <= |w| <= hi in canonical order, compiled.
+
+    ``arities[k−1]`` is (parts, weights) for arity k: ``parts`` (P, k) holds
+    the indices in ``words_up_to(d, hi)`` of each tuple, sorted ascending,
+    and ``weights`` (targets, P) the summed m/k! of all its orderings.  A
+    symmetric D^kφ takes one value on every ordering, so each multiset of
+    parts is contracted once.
+    """
+    targets = [w for w in words_up_to(d, hi) if len(w) >= lo]
+    index = _letter_index(d, hi)
+    arities = []
+    for k in range(1, hi + 1):
+        columns: dict[tuple[int, ...], int] = {}
+        entries = [
+            (t, columns.setdefault(tuple(sorted(index[u.letters] for u in parts)), len(columns)), mult)
+            for t, w in enumerate(targets)
+            if len(w) >= k
+            for parts, mult in deshuffles(w, k).weights.items()
+        ]
+        weights = np.zeros((len(targets), len(columns)))
+        for t, c, mult in entries:
+            weights[t, c] += mult
+        parts = np.array(list(columns), dtype=np.intp).reshape(len(columns), k)
+        arities.append(_frozen(parts, weights / math.factorial(k)))
+    return ExpansionPlan(len(targets), tuple(arities))
+
+
 def _cols(x: np.ndarray, idx) -> np.ndarray:
     """``x[..., idx]`` for a single tensor or a batch; the Ellipsis form
     costs several times more on the small arrays of the hot paths."""

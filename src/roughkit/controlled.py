@@ -22,13 +22,12 @@ partition).
 from __future__ import annotations
 
 import json
-import math
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, Word, deshuffles, words_up_to
-from .functions import SmoothFunction
+from .algebra import EMPTY_WORD, Word, expansion_plan, words_up_to
+from .functions import SmoothFunction, graded_expansion
 from .regression import SLOPE_MARGIN, OrderCheck, check_order, dyadic_pairs
 from .roughpath import GeometricRoughPath
 
@@ -321,29 +320,14 @@ def compose(phi: SmoothFunction, X: ControlledPath) -> ControlledPath:
         raise ValueError(f"φ expects {phi.n_in} inputs, controlled path has width {X.width}")
     phi.require_order(X.order, "compose")
     xs = X.primal
-    m = len(X.times)
     n = X.order
     out: dict[Word, np.ndarray] = {EMPTY_WORD: phi.values(xs)}
-    tensors: dict[int, np.ndarray] = {}
-    for w in words_up_to(X.dim, n - 1):
-        if len(w) == 0:
-            continue
-        acc = np.zeros((m, phi.n_out))
-        for k in range(1, len(w) + 1):
-            table = deshuffles(w, k)
-            for parts, mult in table.weights.items():
-                if any(u not in X.coeffs for u in parts):
-                    continue
-                t = tensors.get(k)
-                if t is None:
-                    t = phi.deriv_tensors(xs, k)
-                    tensors[k] = t
-                term = t
-                for u in parts:
-                    vec = X.coeffs[u]
-                    shape = (m,) + (1,) * (term.ndim - 2) + (X.width,)
-                    term = (term * vec.reshape(shape)).sum(axis=-1)
-                acc += (mult / math.factorial(k)) * term
+    words = words_up_to(X.dim, n - 1)
+    present = np.array([w in X.coeffs for w in words])
+    values = np.stack([X.coeff(w) for w in words], axis=1)
+    plan = expansion_plan(X.dim, 1, n - 1)
+    coeffs = graded_expansion(lambda k: [phi.deriv_tensors(xs, k)], values, plan, phi.n_out, present)
+    for w, acc in zip(words[1:], coeffs.swapaxes(0, 1)):
         if np.any(acc != 0.0):
             out[w] = acc
     return ControlledPath(X.reference, n, phi.n_out, X.times, out)

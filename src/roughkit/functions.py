@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Word, deshuffles
+from .algebra import ExpansionPlan, Word, deshuffles
 
 Alpha = tuple[int, ...]
 
@@ -38,12 +39,27 @@ def _as_point(x, n: int) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=None)
+def _symmetric_gather(n: int, k: int) -> tuple[tuple[Alpha, ...], np.ndarray]:
+    """The sorted multi-indices α over {1..n} of order k, and the position
+    in that list of sorted(i_1..i_k) for every entry (i_1, …, i_k) of an
+    (n,)*k tensor in C order."""
+    letters = range(1, n + 1)
+    alphas = tuple(itertools.combinations_with_replacement(letters, k))
+    position = {alpha: a for a, alpha in enumerate(alphas)}
+    gather = np.array([position[tuple(sorted(idx))] for idx in itertools.product(letters, repeat=k)], dtype=np.intp)
+    gather.setflags(write=False)
+    return alphas, gather
+
+
 class SmoothFunction:
     """Base class: a function with a mixed-partial oracle.
 
-    Subclasses implement ``value`` and ``partial``; batch variants have
-    loop-based defaults and are overridden where vectorization pays off.
-    ``max_order=None`` declares unlimited differentiability.
+    Subclasses implement ``value`` or ``values``, and ``partial`` or
+    ``partials``: each of a pair has a default through the other.  A family
+    with closed-form derivatives overrides ``_sorted_partials``, never
+    ``deriv_tensors`` itself.  ``max_order=None`` declares unlimited
+    differentiability.
     """
 
     n_in: int
@@ -55,16 +71,14 @@ class SmoothFunction:
         self.n_out = int(n_out)
         self.max_order = max_order
 
-    # -- required interface ----------------------------------------------------
+    # -- point and batch interface -------------------------------------------------
 
     def value(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self.values(_as_point(x, self.n_in)[None, :])[0]
 
     def partial(self, x, alpha: Alpha) -> np.ndarray:
         """∂^α at a point; alpha=() returns the value."""
-        raise NotImplementedError
-
-    # -- derived interface -------------------------------------------------------
+        return self.partials(_as_point(x, self.n_in)[None, :], alpha)[0]
 
     def values(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -90,18 +104,23 @@ class SmoothFunction:
         return self.deriv_tensors(np.asarray(x, dtype=float)[None, :], k)[0]
 
     def deriv_tensors(self, xs, k: int) -> np.ndarray:
-        """Batched ``deriv_tensor``: shape (m, n_out) + (n_in,)*k."""
+        """Batched ``deriv_tensor``: shape (m, n_out) + (n_in,)*k.
+
+        The partials of every sorted α of order k come from one
+        ``_sorted_partials`` call; a cached gather fills the symmetric rest.
+        """
         xs = np.asarray(xs, dtype=float)
-        m = xs.shape[0]
         if k == 0:
             return self.values(xs)
-        out = np.empty((m, self.n_out) + (self.n_in,) * k)
-        for alpha in itertools.combinations_with_replacement(range(1, self.n_in + 1), k):
-            vals = self.partials(xs, alpha)
-            for perm in set(itertools.permutations(alpha)):
-                idx = tuple(a - 1 for a in perm)
-                out[(slice(None), slice(None)) + idx] = vals
-        return out
+        _, gather = _symmetric_gather(self.n_in, k)
+        full = self._sorted_partials(xs, k)[:, gather]
+        return full.transpose(0, 2, 1).reshape((len(xs), self.n_out) + (self.n_in,) * k)
+
+    def _sorted_partials(self, xs: np.ndarray, k: int) -> np.ndarray:
+        """∂^α at a batch for every sorted α of order k, in
+        ``_symmetric_gather`` order: shape (m, n_alpha, n_out)."""
+        alphas, _ = _symmetric_gather(self.n_in, k)
+        return np.stack([self.partials(xs, alpha) for alpha in alphas], axis=1)
 
     def apply_deriv(self, x, vectors: Sequence[np.ndarray]) -> np.ndarray:
         """D^k f(x)(v_1, …, v_k) with k = len(vectors)."""
@@ -145,12 +164,39 @@ def poly_add(a: PolyComponent, b: PolyComponent, scale: float = 1.0) -> PolyComp
     return {e: c for e, c in out.items() if c != 0.0}
 
 
+class MonomialSweep:
+    """Several polynomial maps R^n_in → R^n_out evaluated together: one
+    exponent matrix over the union of their monomials and one coefficient
+    matrix, so a batch of points costs one monomial sweep and one matmul."""
+
+    def __init__(self, n_in: int, maps: Sequence[Sequence[PolyComponent]]):
+        expos = sorted({e for comps in maps for comp in comps for e in comp})
+        index = {e: i for i, e in enumerate(expos)}
+        coeff = np.zeros((len(expos), len(maps), len(maps[0])))
+        for m, comps in enumerate(maps):
+            for c, comp in enumerate(comps):
+                for e, val in comp.items():
+                    coeff[index[e], m, c] = val
+        self.expos = np.asarray(expos, dtype=float).reshape(len(expos), n_in)
+        self.shape = coeff.shape[1:]
+        self.coeff = coeff.reshape(len(expos), math.prod(self.shape))
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        """Values of shape (M, len(maps), n_out)."""
+        # Overflow on diverging states is deliberate: solvers detect the
+        # resulting non-finite values and report blow-up.
+        with np.errstate(over="ignore", invalid="ignore"):
+            monomials = np.prod(xs[:, None, :] ** self.expos[None, :, :], axis=2)
+            return (monomials @ self.coeff).reshape(xs.shape[:1] + self.shape)
+
+
 class PolynomialFunction(SmoothFunction):
     """Vector of multivariate polynomials with exact derivatives.
 
     Each output component is a sparse map from exponent tuples to
-    coefficients.  Evaluation is vectorized through a shared exponent
-    matrix; differentiation is symbolic and cached per sorted multi-index.
+    coefficients.  Differentiation is symbolic and cached per sorted
+    multi-index; the partials of one order are evaluated by one
+    ``MonomialSweep`` compiled per order.
     """
 
     def __init__(self, n_in: int, components: Sequence[PolyComponent]):
@@ -168,13 +214,7 @@ class PolynomialFunction(SmoothFunction):
             comps.append(clean)
         self.components: tuple[PolyComponent, ...] = tuple(comps)
         self._derived: dict[Alpha, PolynomialFunction] = {}
-        all_expos = sorted({e for comp in self.components for e in comp})
-        self._expo_matrix = np.asarray(all_expos, dtype=float).reshape(len(all_expos), n_in)
-        self._coeff_matrix = np.zeros((len(all_expos), self.n_out))
-        index = {e: i for i, e in enumerate(all_expos)}
-        for j, comp in enumerate(self.components):
-            for e, c in comp.items():
-                self._coeff_matrix[index[e], j] = c
+        self._sweeps: dict[int, MonomialSweep] = {}
 
     # -- constructors ----------------------------------------------------------
 
@@ -212,17 +252,15 @@ class PolynomialFunction(SmoothFunction):
     # -- evaluation ---------------------------------------------------------------
 
     def values(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if self._expo_matrix.shape[0] == 0:
-            return np.zeros((xs.shape[0], self.n_out))
-        # Overflow on diverging states is deliberate: solvers detect the
-        # resulting non-finite values and report blow-up.
-        with np.errstate(over="ignore", invalid="ignore"):
-            monomials = np.prod(xs[:, None, :] ** self._expo_matrix[None, :, :], axis=2)
-            return monomials @ self._coeff_matrix
+        return self._sorted_partials(xs, 0)[:, 0]
 
-    def value(self, x) -> np.ndarray:
-        return self.values(_as_point(x, self.n_in)[None, :])[0]
+    def _sorted_partials(self, xs, k: int) -> np.ndarray:
+        sweep = self._sweeps.get(k)
+        if sweep is None:
+            alphas, _ = _symmetric_gather(self.n_in, k)
+            sweep = MonomialSweep(self.n_in, [self.derived(alpha).components for alpha in alphas])
+            self._sweeps[k] = sweep
+        return sweep(np.asarray(xs, dtype=float))
 
     def derived(self, alpha: Alpha) -> "PolynomialFunction":
         key = tuple(sorted(alpha))
@@ -237,9 +275,6 @@ class PolynomialFunction(SmoothFunction):
 
     def partials(self, xs, alpha: Alpha) -> np.ndarray:
         return self.derived(alpha).values(xs)
-
-    def partial(self, x, alpha: Alpha) -> np.ndarray:
-        return self.derived(alpha).value(_as_point(x, self.n_in))
 
     # -- serialization ---------------------------------------------------------------
 
@@ -257,6 +292,10 @@ class PolynomialFunction(SmoothFunction):
 class TrigPolynomial(SmoothFunction):
     """Sums of sinusoids a·sin(⟨k, x⟩ + φ) per component, with exact
     derivatives of every order (each ∂_j scales by k_j and shifts φ by π/2).
+
+    The partials of one order p at a batch are one phase matmul
+    θ = x·Kᵀ + φ + pπ/2 over all terms, one ``sin`` and one matmul against
+    a per-order amplitude matrix (a·Π_{j∈α} k_j in the term's component).
     """
 
     def __init__(self, n_in: int, components: Sequence[Sequence[tuple[float, Sequence[float], float]]]):
@@ -265,11 +304,13 @@ class TrigPolynomial(SmoothFunction):
             tuple((float(a), tuple(float(w) for w in wave), float(phase)) for a, wave, phase in comp)
             for comp in components
         )
-        for comp in self.components:
-            for _, wave, _ in comp:
-                if len(wave) != n_in:
-                    raise ValueError("wave vector length must equal n_in")
-        self._derived: dict[Alpha, TrigPolynomial] = {}
+        terms = [(c, a, wave, phase) for c, comp in enumerate(self.components) for a, wave, phase in comp]
+        if any(len(wave) != n_in for _, _, wave, _ in terms):
+            raise ValueError("wave vector length must equal n_in")
+        self._terms = terms
+        self._waves = np.array([wave for _, _, wave, _ in terms], dtype=float).reshape(len(terms), n_in)
+        self._phases = np.array([phase for _, _, _, phase in terms], dtype=float)
+        self._amplitudes: dict[int, np.ndarray] = {}
 
     @classmethod
     def sin(cls, n_in: int, amp: float, wave, phase: float = 0.0) -> "TrigPolynomial":
@@ -279,39 +320,26 @@ class TrigPolynomial(SmoothFunction):
     def cos(cls, n_in: int, amp: float, wave, phase: float = 0.0) -> "TrigPolynomial":
         return cls(n_in, [[(amp, wave, phase + math.pi / 2.0)]])
 
-    def derived(self, alpha: Alpha) -> "TrigPolynomial":
-        key = tuple(sorted(alpha))
-        hit = self._derived.get(key)
-        if hit is None:
-            comps = []
-            for comp in self.components:
-                terms = []
-                for a, wave, phase in comp:
-                    amp = a
-                    for letter in key:
-                        amp *= wave[letter - 1]
-                    terms.append((amp, wave, phase + len(key) * math.pi / 2.0))
-                comps.append(terms)
-            hit = TrigPolynomial(self.n_in, comps)
-            self._derived[key] = hit
-        return hit
+    def _sorted_partials(self, xs, k: int) -> np.ndarray:
+        amplitudes = self._amplitudes.get(k)
+        if amplitudes is None:
+            alphas, _ = _symmetric_gather(self.n_in, k)
+            amplitudes = np.zeros((len(self._terms), len(alphas), self.n_out))
+            for t, (c, a, wave, _) in enumerate(self._terms):
+                for j, alpha in enumerate(alphas):
+                    amplitudes[t, j, c] = math.prod([a] + [wave[letter - 1] for letter in alpha])
+            amplitudes = amplitudes.reshape(len(self._terms), len(alphas) * self.n_out)
+            self._amplitudes[k] = amplitudes
+        xs = np.asarray(xs, dtype=float)
+        theta = xs @ self._waves.T + (self._phases + k * math.pi / 2.0)
+        return (np.sin(theta) @ amplitudes).reshape(len(xs), -1, self.n_out)
 
     def values(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros((xs.shape[0], self.n_out))
-        for j, comp in enumerate(self.components):
-            for a, wave, phase in comp:
-                out[:, j] += a * np.sin(xs @ np.asarray(wave) + phase)
-        return out
-
-    def value(self, x) -> np.ndarray:
-        return self.values(_as_point(x, self.n_in)[None, :])[0]
+        return self._sorted_partials(xs, 0)[:, 0]
 
     def partials(self, xs, alpha: Alpha) -> np.ndarray:
-        return self.derived(alpha).values(xs)
-
-    def partial(self, x, alpha: Alpha) -> np.ndarray:
-        return self.derived(alpha).value(_as_point(x, self.n_in))
+        alphas, _ = _symmetric_gather(self.n_in, len(alpha))
+        return self._sorted_partials(xs, len(alpha))[:, alphas.index(tuple(sorted(alpha)))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -337,12 +365,6 @@ class SumFunction(SmoothFunction):
         max_order = None if all(o is None for o in orders) else min(o for o in orders if o is not None)
         super().__init__(n_in, n_out, max_order)
         self.parts = tuple(parts)
-
-    def value(self, x):
-        return sum(p.value(x) for p in self.parts)
-
-    def partial(self, x, alpha):
-        return sum(p.partial(x, alpha) for p in self.parts)
 
     def values(self, xs):
         return sum(p.values(xs) for p in self.parts)
@@ -409,7 +431,8 @@ class JetFunction(SmoothFunction):
 
     def _check(self, x):
         x = _as_point(x, self.n_in)
-        if not np.allclose(x, self.anchor, rtol=0.0, atol=1e-9):
+        # Cheaper than np.allclose; NaN and inf fail the comparison and raise.
+        if not np.max(np.abs(x - self.anchor)) <= 1e-9:
             raise ValueError("jet oracle queried away from its anchor point")
 
 
@@ -417,8 +440,37 @@ class JetFunction(SmoothFunction):
 # Chain and product rules.
 # ---------------------------------------------------------------------------
 
-def _alpha_word(alpha: Alpha) -> Word:
-    return Word(alpha)
+def graded_expansion(
+    tensors: Callable[[int], Sequence[np.ndarray]],
+    values: np.ndarray,
+    plan: ExpansionPlan,
+    width: int,
+    present: np.ndarray | None = None,
+) -> np.ndarray:
+    """Σ_k (1/k!) Σ m·D^kφ(V_{u_1}, …, V_{u_k}) for every target word of an
+    ``expansion_plan``, on a batch of M points.
+
+    ``values`` (M, W, n) holds V_u at u's dense word index, and
+    ``tensors(k)`` gives D^kφ on the batch as a list of (M, C_j) + (n,)*k
+    arrays (say one per field letter).  The result has shape
+    (M, targets, width), width = Σ C_j, with the channels in list order.
+    Parts whose word is not ``present`` are zero: their terms are skipped,
+    and an arity left with no terms never calls ``tensors``.
+    """
+    out = np.zeros((len(values), plan.targets, width))
+    for parts, weights in plan.arities:
+        if present is not None:
+            keep = present[parts].all(axis=1)
+            if not keep.any():
+                continue
+            parts, weights = parts[keep], weights[:, keep]
+        # The outer product V_{u_1} ⊗ … ⊗ V_{u_k} per term, (M, P, n^k).
+        args = values[:, parts[:, 0]]
+        for j in range(1, parts.shape[1]):
+            args = (args[..., None] * values[:, parts[:, j], None, :]).reshape(args.shape[:2] + (-1,))
+        terms = [args @ t.reshape(t.shape[:2] + (-1,)).swapaxes(1, 2) for t in tensors(parts.shape[1])]
+        out += weights @ (terms[0] if len(terms) == 1 else np.concatenate(terms, axis=2))
+    return out
 
 
 def compose_partial(
@@ -452,7 +504,7 @@ def compose_partial(
         return hit
 
     total = np.zeros(outer.n_out)
-    word_alpha = _alpha_word(alpha)
+    word_alpha = Word(alpha)
     for k in range(1, m + 1):
         tensor = outer.deriv_tensor(y, k)
         acc = np.zeros_like(total)

@@ -24,22 +24,28 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, GroupTensor, Word, deshuffles, words_up_to
+from .algebra import EMPTY_WORD, GroupTensor, Word, deshuffles, expansion_plan, words_up_to
 from .controlled import ControlledPath, compose, rough_integral
 from .errors import NumericalFailure
 from .functions import (
+    MonomialSweep,
     PolyComponent,
     PolynomialFunction,
     SmoothFunction,
     _poly_diff,
+    _symmetric_gather,
     compose_partial,
+    function_from_json_dict,
+    function_to_json_dict,
+    graded_expansion,
     poly_add,
     poly_mul,
+    product_partial,
 )
 from .regression import SLOPE_MARGIN, OrderCheck, check_order, dyadic_pairs
 from .roughpath import GeometricRoughPath
@@ -158,7 +164,7 @@ class DerivedFieldTable:
         self.system = system
         self.depth = int(depth)
         self.polynomial = system.all_polynomial()
-        self._stack_cache: dict[int, "_StackedPolyJets"] = {}
+        self._stack_cache: dict[int, MonomialSweep] = {}
         self._fields: dict[Word, SmoothFunction] = {EMPTY_WORD: PolynomialFunction.identity(system.n)}
         for w in words_up_to(system.d, depth):
             if len(w) == 0:
@@ -191,27 +197,19 @@ class DerivedFieldTable:
         ``x`` is one point (n,) or a batch (M, n); each value has x's shape.
         """
         xs, single = as_batch(x, self.system.n)
-        fields = self.system.fields
-        out: dict[Word, np.ndarray] = {EMPTY_WORD: xs}
-        tensors: dict[tuple[int, int], np.ndarray] = {}
-        for w in self.words[1:]:
-            if len(w) == 1:
-                out[w] = fields[w[0] - 1].values(xs)
-                continue
-            head, last = w[:-1], w[-1]
-            acc = np.zeros(xs.shape)
-            for k in range(1, len(head) + 1):
-                tensor = tensors.get((last, k))
-                if tensor is None:
-                    tensor = fields[last - 1].deriv_tensors(xs, k)
-                    tensors[(last, k)] = tensor
-                for parts, mult in deshuffles(head, k).weights.items():
-                    term = tensor
-                    for u in parts:
-                        term = contract_last(term, out[u])
-                    acc = acc + (mult / math.factorial(k)) * term
-            out[w] = acc
-        return {w: v[0] for w, v in out.items()} if single else out
+        d, n, fields = self.system.d, self.system.n, self.system.fields
+        vals = np.empty((len(xs), len(self.words), n))
+        vals[:, 0] = xs
+        vals[:, 1 : d + 1] = np.stack([f.values(xs) for f in fields], axis=1)
+        stacks = {k: [f.deriv_tensors(xs, k) for f in fields] for k in range(1, self.depth)}
+        start = d + 1
+        for level in range(2, self.depth + 1):
+            # Heads h of length level−1 by field letter i: F_{h·i} in canonical order.
+            block = graded_expansion(stacks.__getitem__, vals, expansion_plan(d, level - 1, level - 1), d * n)
+            vals[:, start : start + d**level] = block.reshape(len(xs), -1, n)
+            start += d**level
+        rows = vals[0] if single else vals.swapaxes(0, 1)
+        return dict(zip(self.words, rows))
 
     def recursion_values_at(self, x) -> dict[Word, np.ndarray]:
         """All F_w(x) through the smooth-function (prepend) route."""
@@ -225,29 +223,29 @@ class DerivedFieldTable:
         """[D^p F_w(x) for p = 0..pmax] per word, as (n,)*(p+1) arrays, or
         (M,) + (n,)*(p+1) arrays for a batch x of shape (M, n).
 
-        The partials ∂^α F_w are evaluated once per sorted multi-index α
-        (polynomial tables through one compiled monomial sweep, generic ones
-        through per-word oracle calls) and gathered into the full symmetric
-        tensors by a precomputed index.
+        A polynomial table evaluates the partials ∂^α F_w of every sorted
+        multi-index α and word in one compiled monomial sweep and gathers
+        them into the full symmetric tensors by a precomputed index; a
+        generic table takes each word's ``deriv_tensors``.
         """
         n = self.system.n
         xs, single = as_batch(x, n)
-        alphas, gathers = _symmetric_gather(n, pmax)
-        if self.polynomial:
-            evaluator = self._stack_cache.get(pmax)
-            if evaluator is None:
-                evaluator = _StackedPolyJets(self, alphas)
-                self._stack_cache[pmax] = evaluator
-            vals = evaluator(xs)
-        else:
-            vals = np.empty((len(xs), len(alphas), len(self.words), n))
-            for a, alpha in enumerate(alphas):
-                for widx, w in enumerate(self.words):
-                    vals[:, a, widx] = self._fields[w].partials(xs, alpha)
-        out: dict[Word, list[np.ndarray]] = {w: [] for w in self.words}
-        for p, gather in enumerate(gathers):
+        if not self.polynomial:
+            out = {w: [self._fields[w].deriv_tensors(xs, p) for p in range(pmax + 1)] for w in self.words}
+            return {w: [t[0] for t in ts] for w, ts in out.items()} if single else out
+        orders = [_symmetric_gather(n, p) for p in range(pmax + 1)]
+        alphas = [alpha for order, _ in orders for alpha in order]
+        offsets = np.cumsum([0] + [len(order) for order, _ in orders])
+        sweep = self._stack_cache.get(pmax)
+        if sweep is None:
+            maps = [self._fields[w].derived(alpha).components for alpha in alphas for w in self.words]
+            sweep = MonomialSweep(n, maps)
+            self._stack_cache[pmax] = sweep
+        vals = sweep(xs).reshape(len(xs), len(alphas), len(self.words), n)
+        out = {w: [] for w in self.words}
+        for p, (_, gather) in enumerate(orders):
             # (M, n^p, W, n) -> (M, W, n, n, …, n): the output slot, then the arguments.
-            full = np.moveaxis(vals[:, gather], 1, -1)
+            full = np.moveaxis(vals[:, gather + offsets[p]], 1, -1)
             full = full.reshape(full.shape[:3] + (n,) * p)
             for widx, w in enumerate(self.words):
                 out[w].append(full[0, widx] if single else full[:, widx])
@@ -262,59 +260,6 @@ def as_batch(x, n: int, what: str = "point") -> tuple[np.ndarray, bool]:
     if xs.ndim != 2 or xs.shape[1] != n:
         raise ValueError(f"{what} must lie in R^{n} (shape ({n},) or (M, {n})), got shape {x.shape}")
     return xs, single
-
-
-def contract_last(tensor: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Σ_j tensor[m, …, j] vectors[m, j], row by row over the batch axis m."""
-    m, n = vectors.shape
-    return np.matmul(tensor.reshape(m, -1, n), vectors[:, :, None]).reshape(tensor.shape[:-1])
-
-
-@lru_cache(maxsize=None)
-def _symmetric_gather(n: int, pmax: int) -> tuple[tuple[tuple[int, ...], ...], tuple[np.ndarray, ...]]:
-    """The sorted multi-indices α over {1..n} with |α| <= pmax, and for each
-    order p the position in that list of sorted(i_1..i_p) for every entry
-    (i_1, …, i_p) of an (n,)*p tensor in C order."""
-    letters = range(1, n + 1)
-    alphas = tuple(a for p in range(pmax + 1) for a in itertools.combinations_with_replacement(letters, p))
-    position = {alpha: a for a, alpha in enumerate(alphas)}
-    gathers = tuple(
-        np.array([position[tuple(sorted(idx))] for idx in itertools.product(letters, repeat=p)], dtype=np.intp)
-        for p in range(pmax + 1)
-    )
-    return alphas, gathers
-
-
-class _StackedPolyJets:
-    """∂^α F_w of a polynomial table for all sorted α and words at once.
-
-    The derived polynomials of every (α, word) pair are compiled into one
-    exponent matrix over their union of monomials and one coefficient
-    matrix, so a batch of points costs one monomial sweep and one matmul.
-    Built once per (table, pmax) and cached.
-    """
-
-    def __init__(self, table: DerivedFieldTable, alphas: Sequence[tuple[int, ...]]):
-        n = table.system.n
-        words = table.words
-        derived = [[table.field(w).derived(alpha) for w in words] for alpha in alphas]
-        expos = sorted({e for row in derived for fn in row for comp in fn.components for e in comp})
-        index = {e: i for i, e in enumerate(expos)}
-        coeff = np.zeros((len(expos), len(alphas), len(words), n))
-        for a, row in enumerate(derived):
-            for widx, fn in enumerate(row):
-                for c, comp in enumerate(fn.components):
-                    for e, val in comp.items():
-                        coeff[index[e], a, widx, c] = val
-        self.expos = np.asarray(expos, dtype=float).reshape(len(expos), n)
-        self.coeff = coeff.reshape(len(expos), -1)
-        self.shape = coeff.shape[1:]
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        """Values of shape (M, len(alphas), len(words), n)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            monomials = np.prod(xs[:, None, :] ** self.expos[None, :, :], axis=2)
-            return (monomials @ self.coeff).reshape(xs.shape[:1] + self.shape)
 
 
 def derive_fields(system: VectorFieldSystem, depth: int) -> DerivedFieldTable:
@@ -499,8 +444,6 @@ class GammaField(SmoothFunction):
 
             return fac
 
-        from .functions import product_partial
-
         total = 0.0
         for weight, beta, parts in self._terms:
             factors = [phi_factor(beta)] + [
@@ -672,8 +615,6 @@ def faa_di_bruno(
 
 
 def system_to_json_dict(system: VectorFieldSystem) -> dict:
-    from .functions import function_to_json_dict
-
     return {
         "d": system.d,
         "n": system.n,
@@ -682,8 +623,6 @@ def system_to_json_dict(system: VectorFieldSystem) -> dict:
 
 
 def system_from_json_dict(data: dict) -> VectorFieldSystem:
-    from .functions import function_from_json_dict
-
     system = VectorFieldSystem([function_from_json_dict(f) for f in data["fields"]])
     if "n" in data and system.n != int(data["n"]):
         raise ValueError(f"fields file declares n={data['n']} but functions map R^{system.n}")

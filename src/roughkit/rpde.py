@@ -33,14 +33,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, Word, deshuffles, words_up_to
-from .functions import JetFunction, SmoothFunction, compose_partial
+from .algebra import Word, expansion_plan, words_up_to
+from .functions import JetFunction, SmoothFunction, compose_partial, graded_expansion
 from .jets import solve_flow_jets
 from .rde import (
     DerivedFieldTable,
     VectorFieldSystem,
     as_batch,
-    contract_last,
     derive_fields,
     pair_increment_coeffs,
     solve_rde,
@@ -220,23 +219,12 @@ def _gamma_values_from_oracle(
     arrays.
     """
     xs, single = as_batch(x, table.system.n)
-    f = {u: np.reshape(v, xs.shape) for u, v in f_values.items()}
-    out: dict[Word, np.ndarray] = {EMPTY_WORD: fn.values(xs)[:, 0]}
-    tensors: dict[int, np.ndarray] = {}
-    for w in words_up_to(table.system.d, max_len)[1:]:
-        total = np.zeros(len(xs))
-        for k in range(1, len(w) + 1):
-            t = tensors.get(k)
-            if t is None:
-                t = fn.deriv_tensors(xs, k)[:, 0]
-                tensors[k] = t
-            for parts, mult in deshuffles(w, k).weights.items():
-                term = t
-                for u in parts:
-                    term = contract_last(term, f[u])
-                total = total + (mult / math.factorial(k)) * term
-        out[w] = total
-    return {w: float(v[0]) for w, v in out.items()} if single else out
+    d = table.system.d
+    words = words_up_to(d, max_len)
+    values = np.stack([np.reshape(f_values[u], xs.shape) for u in words], axis=1)
+    gamma = graded_expansion(lambda k: [fn.deriv_tensors(xs, k)], values, expansion_plan(d, 1, max_len), fn.n_out)
+    out = np.concatenate([fn.values(xs)[:, :1], gamma[:, :, 0]], axis=1)
+    return dict(zip(words, out[0].tolist())) if single else dict(zip(words, out.T))
 
 
 class GradedReport(NamedTuple):
