@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -123,26 +122,19 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
     return [points[i] for i in range(points.shape[0])]
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
+def _positive(kind: type) -> Callable[[str], float | int]:
+    """argparse type: a finite number > 0 of the given kind."""
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {kind.__name__}: {text!r}") from None
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        return value
 
-def _make_pmap(threads: int) -> Callable:
-    if threads <= 1:
-        return None
-    pool = ThreadPoolExecutor(max_workers=threads)
-
-    def pmap(fn, items):
-        return list(pool.map(fn, items))
-
-    return pmap
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +187,7 @@ def _cmd_transport(args) -> int:
     problem = _build_problem(args)
     header, rows = _read_csv_rows(args.query, "s")
     queries = [(float(r[0]), r[1:]) for r in rows]
-    values = solve_transport(problem, queries, mesh=args.mesh, pmap=_make_pmap(args.threads))
+    values = solve_transport(problem, queries, mesh=args.mesh)
     out_lines = [",".join(header + ["u"])]
     for r, u in zip(rows, values):
         out_lines.append(",".join([repr(float(v)) for v in r] + [repr(float(u))]))
@@ -240,14 +232,12 @@ def _report_payload(args, command: str, checks: list[dict], passed: bool) -> dic
 
 
 def _cmd_verify(args) -> int:
-    pmap = _make_pmap(args.threads)
     if args.target == "transport":
         problem = _build_problem(args)
         oracle = FlowSolutionOracle(problem, mesh=args.mesh, solve_level=args.solve_level)
         grid = _parse_grid(args.space_grid)
         time_grid = np.linspace(0.0, problem.horizon, args.time_points)
-        report = verify_transport(problem, oracle, grid, time_grid,
-                                  anchors_per_scale=args.anchors, pmap=pmap)
+        report = verify_transport(problem, oracle, grid, time_grid, anchors_per_scale=args.anchors)
         checks = [c.to_json_dict() for _, c in sorted(report.checks.items(), key=lambda kv: kv[0].sort_key())]
         passed = report.passed
     elif args.target == "continuity":
@@ -265,7 +255,7 @@ def _cmd_verify(args) -> int:
         problem = _build_problem(args)
         mu = _load_measure(args.mu)
         grid = np.linspace(0.0, problem.horizon, args.time_points)
-        result = duality_check(problem, mu, grid, mesh=args.mesh, pmap=pmap)
+        result = duality_check(problem, mu, grid, mesh=args.mesh)
         tol = args.duality_tol
         checks = [{
             "name": "duality-constancy",
@@ -339,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, mesh_default=1e-3):
-        p.add_argument("--mesh", type=_positive_float, default=mesh_default, help="solver mesh size")
+        p.add_argument("--mesh", type=_positive(float), default=mesh_default, help="solver mesh size")
         p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
         p.add_argument("--threads", type=int, default=default_threads,
-                       help="worker threads (default from ROUGHKIT_THREADS)")
+                       help="accepted and recorded in reports, but has no effect: the work "
+                            "is batched, not threaded (default from ROUGHKIT_THREADS)")
 
     p = sub.add_parser("sig", help="lift a path CSV (t,x1,...,xd) to a rough-path JSON")
     p.add_argument("--path", help="piecewise-linear path CSV")
@@ -351,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fbm-hurst", type=float, default=None, help="sample an fBm driver instead of --path")
     p.add_argument("--fbm-dim", type=int, default=2)
     p.add_argument("--fbm-knots", type=int, default=129)
-    p.add_argument("--horizon", type=_positive_float, default=1.0)
+    p.add_argument("--horizon", type=_positive(float), default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sig)
@@ -393,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phis", help="test-function JSON (continuity)")
     p.add_argument("--space-grid", default="-0.5:0.5:5,-0.5:0.5:5",
                    help="product grid lo:hi:count per coordinate")
-    p.add_argument("--time-points", type=int, default=257)
-    p.add_argument("--anchors", type=int, default=3, help="time pairs per dyadic scale")
+    p.add_argument("--time-points", type=_positive(int), default=257)
+    p.add_argument("--anchors", type=_positive(int), default=3, help="time pairs per dyadic scale")
     p.add_argument("--solve-level", type=int, default=None,
                    help="higher lift level for characteristic solves")
     p.add_argument("--duality-tol", type=float, default=1e-6)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -288,6 +288,68 @@ class FlowJetPath:
         return self.blocks[p][idx]
 
 
+def terminal_flow_jets(
+    x0,
+    system: VectorFieldSystem,
+    driver: GeometricRoughPath,
+    partitions: Sequence[np.ndarray],
+    jet_order: int,
+    table: DerivedFieldTable | None = None,
+    on_step: Callable[[list[np.ndarray]], None] | None = None,
+) -> list[np.ndarray]:
+    """Jets D^p X^{s_j, x_m}_T at the common end T of the partitions, for
+    every point x_m of ``x0`` (M, n) and every partition's start s_j:
+    blocks[p] of shape (S, M) + (n,)*(p+1).
+
+    All S·M characteristics are composed-jet stepped in one ragged batch,
+    each on its own partition.  The rows are ordered by decreasing cell
+    count and aligned on the end: step k advances the rows (a prefix) whose
+    partition has a k-th cell counted back from the end, each against its
+    own increment.  Only the current jets are kept; ``on_step`` sees them
+    before the first step and after each one.
+    """
+    xs, _ = as_batch(x0, system.n)
+    if table is None:
+        table = derive_fields(system, driver.level)
+    m = len(xs)
+    space = JetSpace(system.n, jet_order)
+    words = words_up_to(driver.dim, driver.level)
+    cells = np.array([len(p) - 1 for p in partitions])
+    order = np.argsort(-cells, kind="stable")
+    cells = cells[order]
+    longest = int(cells.max(initial=0))
+    first = np.concatenate([[0], np.cumsum(cells)[:-1]])
+    rows = [np.asarray(partitions[j], dtype=float) for j in order]
+    incs = driver.increments(np.concatenate([p[:-1] for p in rows]), np.concatenate([p[1:] for p in rows]))
+    current = space.unpack(space.canonical_state(np.tile(xs, (len(rows), 1))))
+    if on_step is not None:
+        on_step(current)
+    for k in range(longest):
+        live = int(np.count_nonzero(cells >= longest - k))
+        cell = k - (longest - cells[:live])
+        g = np.repeat(incs.tensor.array[first[:live] + cell], m, axis=0)
+        jets = [b[: live * m] for b in current]
+        stacks = table.jet_stacks(jets[0], jet_order)
+        davie_stack = [
+            np.einsum("aw,aw...->a...", g, np.stack([stacks[w][q] for w in words], axis=1))
+            for q in range(jet_order + 1)
+        ]
+        jets = jet_compose(davie_stack, jets)
+        finite = np.logical_and.reduce([np.isfinite(b).reshape(live * m, -1).all(axis=1) for b in jets])
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            start = "" if len(rows) == 1 else f" from s={rows[bad // m][0]:.6g}"
+            row = "" if m == 1 else f", row {bad % m}"
+            raise NumericalFailure(f"solve_flow_jets: blow-up on cell index {cell[bad // m]}{start}{row}")
+        for block, new in zip(current, jets):
+            block[: live * m] = new
+        if on_step is not None:
+            on_step(current)
+    # Back from the descending-length order to the partitions' order.
+    rank = np.argsort(order)
+    return [b.reshape((len(rows), m) + b.shape[1:])[rank] for b in current]
+
+
 def solve_flow_jets(
     x0,
     system: VectorFieldSystem,
@@ -300,13 +362,13 @@ def solve_flow_jets(
     """Evolve the flow and its derivatives up to ``jet_order``.
 
     ``x0`` is one point (n,) or a batch (M, n) stepped together, one array
-    operation per cell against the shared increment.  method="extended"
-    builds the lifted fields, derives their field table and Davie-steps the
-    single autonomous system in the jet space with canonical initial data.
-    method="composed" forms each cell's local Davie-map jets from the
-    base-space table and chains them; the two routes agree (tested) and the
-    latter scales to repeated queries.  Blow-up raises NumericalFailure
-    naming the cell (and the row, for a batch).
+    operation per cell.  method="extended" builds the lifted fields,
+    derives their field table and Davie-steps the single autonomous system
+    in the jet space with canonical initial data.  method="composed" forms
+    each cell's local Davie-map jets from the base-space table and chains
+    them (the one-start case of ``terminal_flow_jets``); the two routes
+    agree (tested) and the latter scales to repeated queries.  Blow-up
+    raises NumericalFailure naming the cell (and the row, for a batch).
     """
     partition = np.asarray(partition, dtype=float)
     xs, single = as_batch(x0, system.n)
@@ -318,30 +380,15 @@ def solve_flow_jets(
         return FlowJetPath(space=lspace, times=partition, blocks=blocks)
     if method != "composed":
         raise ValueError(f"unknown jet method {method!r}")
-
-    if table is None:
-        table = derive_fields(system, driver.level)
-    space = JetSpace(system.n, jet_order)
-    words = words_up_to(driver.dim, driver.level)
-    current = space.unpack(space.canonical_state(xs))
-    trajectory = [current]
-    for cell in range(len(partition) - 1):
-        g = driver.increment(partition[cell], partition[cell + 1])
-        stacks = table.jet_stacks(current[0], jet_order)
-        davie_stack = []
-        for q in range(jet_order + 1):
-            block = np.stack([stacks[w][q] for w in words])
-            davie_stack.append((g.tensor.array @ block.reshape(len(words), -1)).reshape(block.shape[1:]))
-        current = jet_compose(davie_stack, current)
-        finite = np.logical_and.reduce([np.isfinite(b).reshape(len(xs), -1).all(axis=1) for b in current])
-        if not finite.all():
-            row = "" if single else f", row {int(np.argmin(finite))}"
-            raise NumericalFailure(f"solve_flow_jets: blow-up on cell index {cell}{row}")
-        trajectory.append(current)
+    trajectory = []
+    terminal_flow_jets(
+        xs, system, driver, [partition], jet_order, table,
+        on_step=lambda jets: trajectory.append([b.copy() for b in jets]),
+    )
     blocks = [np.stack([jets[p] for jets in trajectory]) for p in range(jet_order + 1)]
     if single:
         blocks = [b[:, 0] for b in blocks]
-    return FlowJetPath(space=space, times=partition, blocks=blocks)
+    return FlowJetPath(space=JetSpace(system.n, jet_order), times=partition, blocks=blocks)
 
 
 def partial_davie_expansion(

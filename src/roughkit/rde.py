@@ -528,12 +528,12 @@ def pair_increment_coeffs(
     driver: GeometricRoughPath, times: np.ndarray, scales: Sequence[tuple[object, Sequence[tuple[int, int]]]]
 ) -> dict[tuple[int, int], list[float]]:
     """⟨W_{t_i t_j}, e_v⟩ for every word v in canonical order, computed once
-    per pair (i, j) of the scales; the words up to any length are a prefix."""
-    return {
-        (i, j): driver.increment(times[i], times[j]).tensor.array.tolist()
-        for _, pairs in scales
-        for i, j in pairs
-    }
+    per pair (i, j) of the scales in one batch; the words up to any length
+    are a prefix."""
+    pairs = [pair for _, scale in scales for pair in scale]
+    index = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    incs = driver.increments(np.asarray(times)[index[:, 0]], np.asarray(times)[index[:, 1]])
+    return dict(zip(pairs, incs.tensor.array.tolist()))
 
 
 class ItoReport(NamedTuple):

@@ -4,7 +4,8 @@ Every "defect ≍ |t−s|^θ" claim in the library is operationalized the same
 way: collect a defect size per dyadic scale, regress log(defect) against
 log(scale), and compare the slope against a threshold with a fixed margin.
 Defects at floating-point noise level are excluded; a check whose defects
-are all noise counts as exact (slope +inf).
+are all noise counts as exact (slope +inf).  A non-finite defect or scale
+certifies nothing.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class OrderFit:
     def from_samples(cls, scales, defects, noise_floor: float = NOISE_FLOOR) -> "OrderFit":
         scales = np.asarray(scales, dtype=float)
         defects = np.asarray(defects, dtype=float)
-        if defects.size == 0:
-            # No samples at all: nothing is certified.
+        if defects.size == 0 or not (np.isfinite(defects).all() and np.isfinite(scales).all()):
+            # No samples, or a NaN or inf among them: nothing is certified.
             return cls(slope=float("nan"), n_points=0, exact=False)
         keep = defects > noise_floor
         if keep.sum() == 0:

@@ -18,6 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .algebra import (
     GroupTensor,
     TruncatedTensor,
     Word,
+    _wrap,
     convolution,
     group_inverse,
     is_character,
@@ -152,8 +154,9 @@ class GeometricRoughPath:
         self.times = times
         self.basepoints = list(basepoints)
         self.generator = generator
-        self._inverse_cache: dict[int, GroupTensor] = {}
-        self._segment_log_cache: dict[int, TruncatedTensor] = {}
+        # The same basepoints as one read-only (K, size) array.
+        self._stack = np.stack([g.tensor.array for g in self.basepoints])
+        self._stack.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -169,6 +172,21 @@ class GeometricRoughPath:
 
     # -- evaluation -----------------------------------------------------------
 
+    @cached_property
+    def _inverses(self) -> np.ndarray:
+        return self._inverse(self._stack)
+
+    @cached_property
+    def _segment_logs(self) -> np.ndarray:
+        """log(W_{t_k}^{-1} ⋆ W_{t_{k+1}}) per knot interval."""
+        return tensor_log(convolution(self._tensor(self._inverses[:-1]), self._tensor(self._stack[1:]))).array
+
+    def _tensor(self, array: np.ndarray) -> TruncatedTensor:
+        return _wrap(self.dim, self.level, array)
+
+    def _inverse(self, array: np.ndarray) -> np.ndarray:
+        return group_inverse(GroupTensor(self._tensor(array)), tol=None).tensor.array
+
     def _knot_index(self, t: float) -> int | None:
         j = int(np.searchsorted(self.times, t))
         if j < len(self.times) and abs(self.times[j] - t) <= 1e-12:
@@ -176,6 +194,40 @@ class GeometricRoughPath:
         if j > 0 and abs(self.times[j - 1] - t) <= 1e-12:
             return j - 1
         return None
+
+    def _between_knots(self, ts: np.ndarray) -> np.ndarray:
+        """W_t at off-grid times, one (shape ()) or a batch (B,): the left
+        knot's basepoint times the partial-segment exponential, through the
+        generator when present (exact for piecewise-linear paths) or
+        geodesically through the segment logs."""
+        seg = np.searchsorted(self.times, ts) - 1
+        left, right = self.times[seg], self.times[seg + 1]
+        if self.generator is not None:
+            # np.interp's formula on the knot interval, for all coordinates
+            # at once; the generator's knots are the basepoint times.
+            values = self.generator.values
+            slope = (values[seg + 1] - values[seg]) / (right - left)[..., None]
+            delta = (slope * (ts - left)[..., None] + values[seg]) - values[seg]
+            partial = _segment_exp(delta, self.level).tensor
+        else:
+            theta = (ts - left) / (right - left)
+            partial = tensor_exp(self._tensor(theta[..., None] * self._segment_logs[seg])).tensor
+        return convolution(self._tensor(self._stack[seg]), partial).array
+
+    def _basepoints_at(self, ts: np.ndarray) -> np.ndarray:
+        """W_t for a batch of times (B,) as a (B, size) array: knots looked
+        up at once, one ``_between_knots`` for all off-grid times."""
+        times = self.times
+        outside = ~((ts >= -1e-12) & (ts <= self.horizon + 1e-12))
+        if outside.any():
+            raise ValueError(f"time {ts[outside][0]} outside [0, {self.horizon}]")
+        j = np.searchsorted(times, ts)
+        hi, lo = np.minimum(j, len(times) - 1), np.maximum(j - 1, 0)
+        knot = np.where(np.abs(times[hi] - ts) <= 1e-12, hi, np.where(np.abs(times[lo] - ts) <= 1e-12, lo, -1))
+        out = self._stack[knot]
+        if (knot < 0).any():
+            out[knot < 0] = self._between_knots(ts[knot < 0])
+        return out
 
     def basepoint_at(self, t: float) -> GroupTensor:
         """W_t, exactly at knots; between knots via the generator when
@@ -186,31 +238,7 @@ class GeometricRoughPath:
         j = self._knot_index(t)
         if j is not None:
             return self.basepoints[j]
-        j = int(np.searchsorted(self.times, t)) - 1
-        left, right = self.times[j], self.times[j + 1]
-        theta = (t - left) / (right - left)
-        if self.generator is not None:
-            # np.interp's formula on the knot interval, for all coordinates
-            # at once; the generator's knots are the basepoint times.
-            values = self.generator.values
-            slope = (values[j + 1] - values[j]) / (right - left)
-            delta = (slope * (t - left) + values[j]) - values[j]
-            partial = _segment_exp(delta, self.level)
-        else:
-            log_inc = self._segment_log_cache.get(j)
-            if log_inc is None:
-                inc = self._inverse_at_index(j).convolve(self.basepoints[j + 1])
-                log_inc = tensor_log(inc)
-                self._segment_log_cache[j] = log_inc
-            partial = tensor_exp(theta * log_inc)
-        return self.basepoints[j].convolve(partial)
-
-    def _inverse_at_index(self, j: int) -> GroupTensor:
-        inv = self._inverse_cache.get(j)
-        if inv is None:
-            inv = group_inverse(self.basepoints[j], tol=None)
-            self._inverse_cache[j] = inv
-        return inv
+        return GroupTensor(self._tensor(self._between_knots(np.asarray(t))))
 
     def increment(self, s: float, t: float) -> GroupTensor:
         """The increment W_{st} = W_s^{-1} ⋆ W_t; identity when s == t."""
@@ -220,9 +248,24 @@ class GeometricRoughPath:
         if s == t:
             return GroupTensor.identity(self.dim, self.level)
         js, jt = self._knot_index(s), self._knot_index(t)
-        left = self._inverse_at_index(js) if js is not None else group_inverse(self.basepoint_at(s), tol=None)
+        left = self._inverses[js] if js is not None else self._inverse(self.basepoint_at(s).tensor.array)
         right = self.basepoints[jt] if jt is not None else self.basepoint_at(t)
-        return left.convolve(right)
+        return GroupTensor(convolution(self._tensor(left), right.tensor))
+
+    def increments(self, lefts, rights) -> GroupTensor:
+        """W_{s_c t_c} for every pair (s_c, t_c), as one (C, size) batch:
+        one partial-segment exponential for all off-grid endpoints, then
+        one inverse and one convolution.  Rows with s == t are the identity.
+        """
+        s, t = np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float)
+        if s.ndim != 1 or s.shape != t.shape:
+            raise ValueError(f"need two 1-d time arrays of one length, got shapes {s.shape} and {t.shape}")
+        if np.any(s > t):
+            raise ValueError(f"increment requires s <= t, got s={s[s > t][0]} > t={t[s > t][0]}")
+        points = self._basepoints_at(np.concatenate([s, t]))
+        out = convolution(self._tensor(self._inverse(points[: len(s)])), self._tensor(points[len(s) :])).array
+        unit = TruncatedTensor.unit(self.dim, self.level).array
+        return GroupTensor(self._tensor(np.where((s == t)[:, None], unit, out)))
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -237,13 +280,12 @@ class GeometricRoughPath:
         d, level = self.dim, self.level
         words = words_up_to(d, level)
         lengths = np.asarray([len(w) for w in words])
-        points = [self.basepoint_at(t) for t in grid]
-        stacked = np.asarray([g.tensor.array for g in points])
+        stacked = self._basepoints_at(grid)
         worst = np.zeros(len(words))
         for i in range(len(grid)):
             later = (np.arange(len(grid)) > i) & (grid > grid[i])
             if later.any():
-                left = group_inverse(points[i], tol=None).tensor
+                left = self._tensor(self._inverse(stacked[i]))
                 incs = convolution(left, TruncatedTensor.from_array(d, level, stacked[later])).array
                 span = grid[later] - grid[i]
                 worst = np.maximum(worst, np.max(np.abs(incs) / span[:, None] ** (lengths * self.gamma), axis=0))

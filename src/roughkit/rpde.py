@@ -29,13 +29,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import Word, expansion_plan, words_up_to
-from .functions import JetFunction, SmoothFunction, compose_partial, graded_expansion
-from .jets import solve_flow_jets
+from .functions import JetFunction, SmoothFunction, graded_expansion
+from .jets import jet_compose, terminal_flow_jets
 from .rde import (
     DerivedFieldTable,
     VectorFieldSystem,
@@ -46,13 +46,6 @@ from .rde import (
 )
 from .regression import SLOPE_MARGIN, OrderCheck, check_order, dyadic_pairs
 from .roughpath import GeometricRoughPath
-
-PMap = Callable[[Callable, Iterable], list]
-
-
-def _serial_map(fn, items) -> list:
-    return [fn(item) for item in items]
-
 
 def solve_partition(driver: GeometricRoughPath, s: float, t: float, mesh: float) -> np.ndarray:
     """Uniform mesh points of [s, t] merged with the driver's knots.
@@ -101,15 +94,12 @@ def solve_transport(
     problem: TransportProblem,
     queries: Sequence[tuple[float, np.ndarray]],
     mesh: float,
-    pmap: PMap | None = None,
 ) -> np.ndarray:
     """u(s, x) = g(X^{s,x}_T) for each query, by flow solves.
 
     Queries sharing a start time s share a partition and are stepped as one
-    batch; queries at s = T return g(x) exactly.  The start-time groups are
-    independent; the supplied parallel map (ordered) distributes them.
+    batch; queries at s = T return g(x) exactly.
     """
-    pmap = pmap or _serial_map
     driver = problem.driver
     n = problem.fields.n
     table = derive_fields(problem.fields, driver.level)
@@ -118,30 +108,27 @@ def solve_transport(
     for q, (s, _) in enumerate(queries):
         groups.setdefault(float(s), []).append(q)
 
-    def run(group):
-        s, members = group
+    values = np.empty(len(queries))
+    for s, members in groups.items():
         points = np.stack([np.atleast_1d(np.asarray(queries[q][1], dtype=float)) for q in members])
         xs, _ = as_batch(points, n, "query point")
         partition = solve_partition(driver, s, problem.horizon, mesh)
         if len(partition) > 1:
             xs = solve_rde(xs, problem.fields, driver, partition, table=table).terminal()
-        return problem.terminal.values(xs)[:, 0]
-
-    values = np.empty(len(queries))
-    for (_, members), group_values in zip(groups.items(), pmap(run, list(groups.items()))):
-        values[members] = group_values
+        values[members] = problem.terminal.values(xs)[:, 0]
     return values
 
 
 class FlowSolutionOracle:
     """Derivative data of the flow-built transport solution.
 
-    For a query (s, x) solves the flow jets from s to the horizon at x
-    (composed-jet stepping on a knot-respecting partition) and chains the
-    terminal data through them, yielding a point-local oracle for
-    ∂^α u_s(x) up to the jet order.  A query may hold a batch of points
-    (M, n): the points not yet cached share one batched flow-jet solve.
-    Results are cached per (s, x).
+    For start times s and points x solves the flow jets from s to the
+    horizon (composed-jet stepping on a knot-respecting partition per s, all
+    starts in one batch) and chains the terminal data through them, yielding
+    ∂^α u_s(x) up to the jet order.  ``jets`` returns the arrays for a grid
+    of starts and points; a call (s, x) returns point-local oracles for one
+    start, cached per (s, x), with the points not yet cached solved in one
+    batch.
     """
 
     def __init__(
@@ -173,35 +160,50 @@ class FlowSolutionOracle:
         self.table = derive_fields(problem.fields, self.solve_driver.level)
         self._cache: dict[tuple[float, bytes], JetFunction] = {}
 
+    def jets(self, times: Sequence[float], points) -> list[np.ndarray]:
+        """Jets of u_s at every point (M, n) for every start time s:
+        blocks[p] of shape (S, M) + (n,)*p for p = 0..jet_order, block 0
+        holding u itself.  One multi-start flow-jet solve, then one chain
+        rule through the terminal data for all S·M endpoints."""
+        problem = self.problem
+        xs, _ = as_batch(points, problem.fields.n, "query point")
+        partitions = [solve_partition(self.solve_driver, float(s), problem.horizon, self.mesh) for s in times]
+        flow = terminal_flow_jets(xs, problem.fields, self.solve_driver, partitions, self.jet_order, self.table)
+        rows = [b.reshape((-1,) + b.shape[2:]) for b in flow]
+        outer = [problem.terminal.deriv_tensors(rows[0], p) for p in range(self.jet_order + 1)]
+        return [b[:, 0].reshape((len(partitions), len(xs)) + b.shape[2:]) for b in jet_compose(outer, rows)]
+
     def __call__(self, s: float, x) -> JetFunction | list[JetFunction]:
         """The jet oracle of u_s at x (n,), or a list of them for x (M, n)."""
-        problem = self.problem
-        n = problem.fields.n
+        n = self.problem.fields.n
         xs, single = as_batch(x, n)
         keys = [(float(s), row.tobytes()) for row in xs]
         missing = {key: row for key, row in zip(keys, xs) if key not in self._cache}
         if missing:
-            points = np.stack(list(missing.values()))
-            partition = solve_partition(self.solve_driver, float(s), problem.horizon, self.mesh)
-            # A one-point partition leaves the canonical jets (x, I, 0, …).
-            jets = solve_flow_jets(
-                points, problem.fields, self.solve_driver, partition, self.jet_order,
-                method="composed", table=self.table,
-            )
+            blocks = self.jets([s], np.stack(list(missing.values())))
             alphas = [
                 alpha
                 for p in range(1, self.jet_order + 1)
                 for alpha in itertools.combinations_with_replacement(range(1, n + 1), p)
             ]
             for m, (key, x_m) in enumerate(missing.items()):
-                flow_partials = {alpha: jets.derivative(alpha)[m] for alpha in alphas}
-                flow = JetFunction(x_m, jets.states[-1][m], flow_partials, self.jet_order)
-                u_partials = {alpha: compose_partial(problem.terminal, flow, x_m, alpha) for alpha in alphas}
-                self._cache[key] = JetFunction(
-                    x_m, problem.terminal.value(flow.value(x_m)), u_partials, self.jet_order
-                )
+                partials = {alpha: blocks[len(alpha)][0, m][tuple(a - 1 for a in alpha)] for alpha in alphas}
+                self._cache[key] = JetFunction(x_m, blocks[0][0, m], partials, self.jet_order)
         out = [self._cache[key] for key in keys]
         return out[0] if single else out
+
+
+def _gamma_rows(
+    table: DerivedFieldTable, tensors: Callable[[int], np.ndarray], f_values: np.ndarray, max_len: int
+) -> np.ndarray:
+    """Γ_w fn at M points for all |w| <= max_len, shape (M, words), from
+    fn's derivative tensors ``tensors(k)``, shape (M, 1) + (n,)*k with
+    k = 0 the values, and the table values f_values (M, words, n).
+
+    Γ_wfn(x) = Σ_k (1/k!) Σ m·D^k fn(x)(F_{u_1}(x), …); Γ_ε = fn(x).
+    """
+    gamma = graded_expansion(lambda k: [tensors(k)], f_values, expansion_plan(table.system.d, 1, max_len), 1)
+    return np.concatenate([tensors(0), gamma[:, :, 0]], axis=1)
 
 
 def _gamma_values_from_oracle(
@@ -213,17 +215,14 @@ def _gamma_values_from_oracle(
 ) -> dict[Word, float] | dict[Word, np.ndarray]:
     """Γ_w fn(x) for all |w| <= max_len from the derivative data of fn.
 
-    Γ_wfn(x) = Σ_k (1/k!) Σ m·D^k fn(x)(F_{u_1}(x), …); Γ_ε = fn(x).  For a
-    point x (n,) the values are floats; for a batch x (M, n), with
+    For a point x (n,) the values are floats; for a batch x (M, n), with
     ``f_values`` from ``table.values_at`` on the same batch, they are (M,)
     arrays.
     """
     xs, single = as_batch(x, table.system.n)
-    d = table.system.d
-    words = words_up_to(d, max_len)
+    words = words_up_to(table.system.d, max_len)
     values = np.stack([np.reshape(f_values[u], xs.shape) for u in words], axis=1)
-    gamma = graded_expansion(lambda k: [fn.deriv_tensors(xs, k)], values, expansion_plan(d, 1, max_len), fn.n_out)
-    out = np.concatenate([fn.values(xs)[:, :1], gamma[:, :, 0]], axis=1)
+    out = _gamma_rows(table, lambda k: fn.deriv_tensors(xs, k), values, max_len)
     return dict(zip(words, out[0].tolist())) if single else dict(zip(words, out.T))
 
 
@@ -256,6 +255,8 @@ def _select_time_pairs(
     Scales with fewer than ``min_pairs`` disjoint pairs are outside the
     regime where an aggregate defect is statistically meaningful.
     """
+    if anchors_per_scale < 1:
+        raise ValueError(f"need at least one time pair per scale, got {anchors_per_scale}")
     n = len(time_grid)
     out = []
     for stride, pairs in dyadic_pairs(n, min_pairs=min_pairs):
@@ -275,60 +276,53 @@ def verify_transport(
     words: Sequence[Word] | None = None,
     margin: float = SLOPE_MARGIN,
     anchors_per_scale: int = 4,
-    pmap: PMap | None = None,
 ) -> GradedReport:
     """Graded-defect verification of a transport solution candidate.
 
     For every word w (default: all |w| <= N_γ) evaluates the defect of the
     backward graded expansion over dyadic time pairs, takes the max over
     the space grid per pair (the compact-uniformity reading) and the mean
-    per scale, and regresses the order against (N_γ+1−|w|)γ.
+    per scale, and regresses the order against (N_γ+1−|w|)γ.  A
+    ``FlowSolutionOracle`` answers every needed (time, point) row from one
+    batched solve; any other candidate is called per (t, x).
     """
-    pmap = pmap or _serial_map
     driver = problem.driver
     n_gamma = driver.hoelder_level
     time_grid = np.asarray(time_grid, dtype=float)
     space_grid = [np.atleast_1d(np.asarray(x, dtype=float)) for x in space_grid]
     points = np.stack(space_grid)
     table = derive_fields(problem.fields, max(driver.level, n_gamma))
+    all_words = words_up_to(driver.dim, n_gamma)
     if words is None:
-        words = [w for w in words_up_to(driver.dim, n_gamma)]
+        words = list(all_words)
     scales = _select_time_pairs(time_grid, anchors_per_scale)
     needed_times = sorted({time_grid[i] for _, pairs in scales for pair in pairs for i in pair})
     coeffs = pair_increment_coeffs(driver, time_grid, scales)
 
+    # D^k u at every needed (time, point) row, then all Γ_w u in one kernel call.
+    rows = [(t, x) for t in needed_times for x in points]
+    if isinstance(u_oracle, FlowSolutionOracle):
+        if u_oracle.jet_order < n_gamma:
+            raise ValueError(f"oracle jet order {u_oracle.jet_order} is below N_γ = {n_gamma}")
+        u = [b.reshape((len(rows), 1) + b.shape[2:]) for b in u_oracle.jets(needed_times, points)]
+    else:
+        fns = [(u_oracle(t, x), x[None]) for t, x in rows]
+        u = [np.concatenate([fn.deriv_tensors(x, k) for fn, x in fns]) for k in range(n_gamma + 1)]
     f_values = table.values_at(points)
-    f_at = [{u: v[m] for u, v in f_values.items()} for m in range(len(points))]
-
-    def gamma_data(t):
-        # A flow-built oracle solves the whole grid in one batched pass.
-        if isinstance(u_oracle, FlowSolutionOracle):
-            fns = u_oracle(t, points)
-        else:
-            fns = [u_oracle(t, x) for x in space_grid]
-        return [
-            _gamma_values_from_oracle(table, fn, x, f, n_gamma)
-            for fn, x, f in zip(fns, space_grid, f_at)
-        ]
-
-    gamma_at = dict(zip(needed_times, pmap(gamma_data, needed_times)))
+    f = np.tile(np.stack([f_values[w] for w in all_words], axis=1), (len(needed_times), 1, 1))
+    gamma = _gamma_rows(table, u.__getitem__, f, n_gamma)
+    at = dict(zip(needed_times, gamma.reshape(len(needed_times), len(points), -1)))
+    index = {w: k for k, w in enumerate(all_words)}
 
     checks: dict[Word, OrderCheck] = {}
     for w in words:
+        tail = [index[w + v] for v in words_up_to(driver.dim, n_gamma - len(w))]
         spans, defects = [], []
         for span, pairs in scales:
             vals = []
             for i, j in pairs:
-                s, t = time_grid[i], time_grid[j]
-                worst = 0.0
-                for at_s, at_t in zip(gamma_at[s], gamma_at[t]):
-                    lhs = at_s[w]
-                    rhs = 0.0
-                    for v, c in zip(words_up_to(driver.dim, n_gamma - len(w)), coeffs[(i, j)]):
-                        if c != 0.0:
-                            rhs += c * at_t[w + v]
-                    worst = max(worst, abs(lhs - rhs))
-                vals.append(worst)
+                rhs = at[time_grid[j]][:, tail] @ np.asarray(coeffs[(i, j)][: len(tail)])
+                vals.append(float(np.max(np.abs(at[time_grid[i]][:, index[w]] - rhs))))
             spans.append(span)
             defects.append(float(np.mean(vals)))
         checks[w] = check_order(
@@ -543,7 +537,6 @@ def duality_check(
     mu: ParticleMeasure,
     grid,
     mesh: float,
-    pmap: PMap | None = None,
 ) -> DualityReport:
     """Constancy of r ↦ ρ_r(u_r): the uniqueness mechanism as a test.
 
@@ -557,7 +550,7 @@ def duality_check(
     for r in grid:
         measure = evolution.measure_at(r)
         queries.extend((float(r), measure.points[m]) for m in range(measure.size))
-    values = solve_transport(problem, queries, mesh, pmap)
+    values = solve_transport(problem, queries, mesh)
     values = values.reshape(len(grid), mu.size)
     alphas = values @ mu.weights
     return DualityReport(

@@ -45,8 +45,6 @@ from .rpde import (
     verify_transport,
 )
 
-PMap = Callable[[Callable, Sequence], list]
-
 
 @dataclass(frozen=True)
 class CheckResult:
