@@ -76,6 +76,9 @@ def _read_csv_rows(path: str, expected_first: str) -> tuple[list[str], np.ndarra
         rows = np.asarray([[float(x) for x in ln.split(",")] for ln in lines[1:]], dtype=float)
     except ValueError as e:
         raise ValueError(f"{path}: non-numeric CSV entry ({e})") from e
+    finite = np.isfinite(rows).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"{path}: data row {int(np.argmin(finite)) + 1} has a non-finite entry")
     return header, rows
 
 
@@ -103,9 +106,12 @@ def _load_phis(path: str) -> list[SmoothFunction]:
 
 def _parse_x0(text: str) -> np.ndarray:
     try:
-        return np.asarray([float(v) for v in text.split(",")], dtype=float)
+        x0 = np.asarray([float(v) for v in text.split(",")], dtype=float)
     except ValueError as e:
         raise ValueError(f"could not parse --x0 {text!r}: {e}") from e
+    if not np.isfinite(x0).all():
+        raise ValueError(f"--x0 must be finite, got {text!r}")
+    return x0
 
 
 def _parse_grid(spec: str) -> list[np.ndarray]:
@@ -113,9 +119,12 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
     axes = []
     for part in spec.split(","):
         pieces = part.split(":")
-        if len(pieces) != 3:
-            raise ValueError(f"bad --space-grid component {part!r}, want lo:hi:count")
-        lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+        try:
+            lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+            if len(pieces) != 3 or not (math.isfinite(lo) and math.isfinite(hi) and count >= 1):
+                raise ValueError
+        except (ValueError, IndexError):
+            raise ValueError(f"bad --space-grid component {part!r}, want lo:hi:count, finite, count >= 1") from None
         axes.append(np.linspace(lo, hi, count))
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
@@ -386,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="product grid lo:hi:count per coordinate")
     p.add_argument("--time-points", type=_positive(int), default=257)
     p.add_argument("--anchors", type=_positive(int), default=3, help="time pairs per dyadic scale")
-    p.add_argument("--solve-level", type=int, default=None,
-                   help="higher lift level for characteristic solves")
+    p.add_argument("--solve-level", type=_positive(int), default=None,
+                   help="lift level (>= the driver's) for characteristic solves; JSON drivers rise geodesically")
     p.add_argument("--duality-tol", type=float, default=1e-6)
     p.add_argument("--report", required=True)
     common(p)

@@ -26,10 +26,10 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, Word, expansion_plan, words_up_to
+from .algebra import EMPTY_WORD, Word, _letter_index, expansion_plan, words_up_to
 from .functions import SmoothFunction, graded_expansion
 from .regression import SLOPE_MARGIN, OrderCheck, check_order, dyadic_pairs
-from .roughpath import GeometricRoughPath
+from .roughpath import GeometricRoughPath, grid_index
 
 
 class ControlledPath:
@@ -92,12 +92,12 @@ class ControlledPath:
             return np.zeros((len(self.times), self.width))
         return arr
 
-    def index_of(self, t: float) -> int:
-        j = int(np.searchsorted(self.times, t))
-        for cand in (j, j - 1):
-            if 0 <= cand < len(self.times) and abs(self.times[cand] - t) <= 1e-9:
-                return cand
-        raise ValueError(f"time {t} is not on the controlled path grid")
+    def index_of(self, t):
+        """Grid index of a time, or an index array for an array of times."""
+        idx = grid_index(self.times, t, 1e-9)
+        if (idx < 0).any():
+            raise ValueError(f"time {np.asarray(t)[idx < 0].flat[0]} is not on the controlled path grid")
+        return int(idx) if idx.ndim == 0 else idx
 
     def truncate(self, order: int) -> "ControlledPath":
         """Forget coefficients of order >= the new (smaller) order."""
@@ -346,7 +346,8 @@ def rough_integral(X: ControlledPath, letter: int, partition) -> RoughIntegralRe
     """Compensated-Riemann-sum rough integral of X against W^letter.
 
     Per cell [a, b] of the partition, adds
-    Σ_{|w| <= N_γ−1} ⟨e_w*, X_a⟩⟨W_{ab}, e_{w·letter}⟩; the limit exists at
+    Σ_{|w| <= N_γ−1} ⟨e_w*, X_a⟩⟨W_{ab}, e_{w·letter}⟩, for all cells from
+    one batch of increments and one contraction; the limit exists at
     controlled order N_γ, which is required of X.  The returned lift stores
     the integral as primal trace and shifts X's coefficients onto words
     ending in ``letter``; it is controlled of order N_γ+1.
@@ -362,19 +363,16 @@ def rough_integral(X: ControlledPath, letter: int, partition) -> RoughIntegralRe
     partition = np.asarray(partition, dtype=float)
     if partition.ndim != 1 or len(partition) < 2:
         raise ValueError("partition must contain at least two times")
-    idx = np.array([X.index_of(t) for t in partition])
+    idx = X.index_of(partition)
     tail = Word((letter,))
+    # ⟨W_{ab}, e_{w·letter}⟩ for every cell and word, against ⟨e_w*, X_a⟩.
+    words = words_up_to(reference.dim, n_gamma - 1)
+    index = _letter_index(reference.dim, reference.level)
+    incs = reference.increments(partition[:-1], partition[1:]).tensor.array
+    cells = incs[:, [index[w.letters + tail.letters] for w in words]]
+    coeffs = np.stack([X.coeff(w)[idx[:-1]] for w in words], axis=1)
     values = np.zeros((len(partition), X.width))
-    for p in range(len(partition) - 1):
-        inc = reference.increment(partition[p], partition[p + 1])
-        cell = np.zeros(X.width)
-        for w, arr in X.coeffs.items():
-            if len(w) > n_gamma - 1:
-                continue
-            c = inc.coeff(w + tail)
-            if c != 0.0:
-                cell = cell + c * arr[idx[p]]
-        values[p + 1] = values[p] + cell
+    np.cumsum(np.einsum("cw,cwk->ck", cells, coeffs), axis=0, out=values[1:])
     lift_coeffs: dict[Word, np.ndarray] = {EMPTY_WORD: values}
     for w, arr in X.coeffs.items():
         if len(w) <= n_gamma - 1:

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, GroupTensor, Word, deshuffles, expansion_plan, words_up_to
+from .algebra import EMPTY_WORD, GroupTensor, Word, _wrap, deshuffles, expansion_plan, words_up_to
 from .controlled import ControlledPath, compose, rough_integral
 from .errors import NumericalFailure
 from .functions import (
@@ -37,6 +37,7 @@ from .functions import (
     PolyComponent,
     PolynomialFunction,
     SmoothFunction,
+    TrigPolynomial,
     _poly_diff,
     _symmetric_gather,
     compose_partial,
@@ -81,8 +82,15 @@ class VectorFieldSystem:
                 f"{who} needs fields with {k} derivatives, only {self.order} declared"
             )
 
-    def all_polynomial(self) -> bool:
-        return all(isinstance(f, PolynomialFunction) for f in self.fields)
+    @cached_property
+    def stacked(self) -> tuple[SmoothFunction, ...]:
+        """f_1..f_d with their outputs concatenated in letter order: one trig
+        or polynomial function R^n → R^{d·n} over all components when every
+        field is of that family, else the fields themselves."""
+        for family in (TrigPolynomial, PolynomialFunction):
+            if all(isinstance(f, family) for f in self.fields):
+                return (family(self.n, [c for f in self.fields for c in f.components]),)
+        return self.fields
 
 
 class _LeibnizDerivedField(SmoothFunction):
@@ -163,7 +171,7 @@ class DerivedFieldTable:
         system.require_order(depth - 1, "derive_fields")
         self.system = system
         self.depth = int(depth)
-        self.polynomial = system.all_polynomial()
+        self.polynomial = all(isinstance(f, PolynomialFunction) for f in system.fields)
         self._stack_cache: dict[int, MonomialSweep] = {}
         self._fields: dict[Word, SmoothFunction] = {EMPTY_WORD: PolynomialFunction.identity(system.n)}
         for w in words_up_to(system.d, depth):
@@ -197,11 +205,11 @@ class DerivedFieldTable:
         ``x`` is one point (n,) or a batch (M, n); each value has x's shape.
         """
         xs, single = as_batch(x, self.system.n)
-        d, n, fields = self.system.d, self.system.n, self.system.fields
+        d, n, parts = self.system.d, self.system.n, self.system.stacked
         vals = np.empty((len(xs), len(self.words), n))
         vals[:, 0] = xs
-        vals[:, 1 : d + 1] = np.stack([f.values(xs) for f in fields], axis=1)
-        stacks = {k: [f.deriv_tensors(xs, k) for f in fields] for k in range(1, self.depth)}
+        vals[:, 1 : d + 1] = np.concatenate([f.values(xs) for f in parts], axis=1).reshape(len(xs), d, n)
+        stacks = {k: [f.deriv_tensors(xs, k) for f in parts] for k in range(1, self.depth)}
         start = d + 1
         for level in range(2, self.depth + 1):
             # Heads h of length level−1 by field letter i: F_{h·i} in canonical order.
@@ -323,13 +331,15 @@ class RdeSolution:
         assembly (composition, deshuffle weights, integral wiring) rather
         than estimating discretization error.
         """
-        n_gamma = self.driver.hoelder_level
-        X = self.path.truncate(min(self.path.order, n_gamma))
-        total = np.tile(self.states[0], (len(self.times), 1))
-        for i in range(1, self.system.d + 1):
-            integrand = compose(self.system.fields[i - 1], X)
-            total = total + rough_integral(integrand, i, self.times).values
+        total = self.states[0] + self.integral(lambda i: self.system.fields[i - 1])
         return float(np.max(np.abs(total - self.states)))
+
+    def integral(self, integrand: Callable[[int], SmoothFunction]) -> np.ndarray:
+        """Σ_i ∫ integrand(i)(X) dW^i on the solve grid: the rough integral
+        of each integrand composed with the lift (order capped at N_γ)."""
+        X = self.path.truncate(min(self.path.order, self.driver.hoelder_level))
+        letters = range(1, self.system.d + 1)
+        return sum(rough_integral(compose(integrand(i), X), i, self.times).values for i in letters)
 
 
 def solve_rde(
@@ -343,8 +353,9 @@ def solve_rde(
 
     ``x0`` is one initial state (n,) or a batch (M, n); a batch is stepped
     as one array per cell against one shared increment, at the driver's own
-    truncation level.  Blow-up raises NumericalFailure naming the cell (and
-    the row, for a batch).  The controlled lift is built lazily by ``path``.
+    truncation level; the increments of all cells come from one batch.
+    Blow-up raises NumericalFailure naming the cell (and the row, for a
+    batch).  The controlled lift is built lazily by ``path``.
     """
     partition = np.asarray(partition, dtype=float)
     if partition.ndim != 1 or len(partition) < 1:
@@ -358,9 +369,9 @@ def solve_rde(
     # Divergence shows up as non-finite states; suppress the intermediate
     # overflow warnings and report the offending cell instead.
     with np.errstate(invalid="ignore", over="ignore"):
-        for p in range(len(partition) - 1):
-            g = driver.increment(partition[p], partition[p + 1])
-            xs = davie_step(xs, table, g)
+        cells = driver.increments(partition[:-1], partition[1:]).tensor.array
+        for p, inc in enumerate(cells):
+            xs = davie_step(xs, table, GroupTensor(_wrap(driver.dim, driver.level, inc)))
             finite = np.isfinite(xs).all(axis=1)
             if not finite.all():
                 row = "" if single else f", row {int(np.argmin(finite))}"
@@ -567,11 +578,7 @@ def ito_check(
 
     residual = float("nan")
     if identity:
-        X = solution.path.truncate(min(solution.path.order, n_gamma))
-        total = np.zeros((len(times), 1))
-        for i in range(1, solution.system.d + 1):
-            integrand = compose(gamma_operator(Word((i,)), solution.system, phi, solution.table), X)
-            total = total + rough_integral(integrand, i, times).values
+        total = solution.integral(lambda i: gamma_operator(Word((i,)), solution.system, phi, solution.table))
         lhs = lifted.primal - lifted.primal[0]
         residual = float(np.max(np.abs(lhs - total)))
 

@@ -26,6 +26,7 @@ from .algebra import (
     GroupTensor,
     TruncatedTensor,
     Word,
+    _letter_index,
     _wrap,
     convolution,
     group_inverse,
@@ -114,11 +115,31 @@ def _segment_exp(delta: np.ndarray, level: int) -> GroupTensor:
     return tensor_exp(TruncatedTensor.from_vector(delta, level))
 
 
+def _running_products(steps: TruncatedTensor) -> GroupTensor:
+    """The identity, then s_1, s_1 ⋆ s_2, … for a (C, size) batch: (C+1, size)."""
+    d, level = steps.dim, steps.level
+    out = np.empty((len(steps.array) + 1, steps.array.shape[1]))
+    out[0] = TruncatedTensor.unit(d, level).array
+    for k, row in enumerate(steps.array):
+        out[k + 1] = convolution(_wrap(d, level, out[k]), _wrap(d, level, row)).array
+    return GroupTensor(_wrap(d, level, out))
+
+
+def grid_index(times: np.ndarray, ts, tol: float) -> np.ndarray:
+    """Index of the grid time within ``tol`` of each of ``ts`` (right first), else −1."""
+    ts = np.asarray(ts, dtype=float)
+    j = np.searchsorted(times, ts)
+    hi, lo = np.minimum(j, len(times) - 1), np.maximum(j - 1, 0)
+    return np.where(np.abs(times[hi] - ts) <= tol, hi, np.where(np.abs(times[lo] - ts) <= tol, lo, -1))
+
+
 class GeometricRoughPath:
     """Group-valued path basepoints with exact increment arithmetic.
 
-    Immutable after construction; increment and diagnostic calls are pure
-    and freely concurrent (internal caches only memoize pure results).
+    The basepoints are stored once, as one read-only (K, size) array over
+    the canonical word order; the constructor takes them as one batched
+    group element or as a sequence of single ones.  Immutable after
+    construction; calls are pure (internal caches memoize pure results).
     """
 
     def __init__(
@@ -126,7 +147,7 @@ class GeometricRoughPath:
         gamma: float,
         level: int,
         times: np.ndarray,
-        basepoints: list[GroupTensor],
+        basepoints: GroupTensor | list[GroupTensor],
         generator: PiecewiseLinearPath | None = None,
     ):
         if not 0.0 < gamma <= 1.0:
@@ -137,30 +158,31 @@ class GeometricRoughPath:
                 f"the level is only overridable upward"
             )
         times = np.asarray(times, dtype=float)
-        if len(times) != len(basepoints) or not basepoints:
-            raise ValueError("times and basepoints must have matching, non-zero length")
+        if not isinstance(basepoints, GroupTensor):
+            d = basepoints[0].dim if basepoints else 0
+            if not basepoints or any((g.dim, g.level) != (d, level) for g in basepoints):
+                raise ValueError("basepoints must share one alphabet size and the path's truncation level")
+            basepoints = GroupTensor(TruncatedTensor.from_array(d, level, [g.tensor.array for g in basepoints]))
+        stack = basepoints.tensor.array
+        if basepoints.level != level or stack.ndim != 2 or len(times) != len(stack) or not len(times):
+            raise ValueError("need one basepoint per time, at the path's truncation level")
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("basepoint times must start at 0 and increase strictly")
-        if basepoints[0].tensor.norm_inf() != 1.0 or len(basepoints[0].tensor.words()) != 1:
+        if not np.array_equal(stack[0], TruncatedTensor.unit(basepoints.dim, level).array):
             raise ValueError("the basepoint at time 0 must be the group identity")
-        if any(g.level != level for g in basepoints):
-            raise ValueError("all basepoints must share the truncation level")
-        if any(g.dim != basepoints[0].dim or g.tensor.array.ndim != 1 for g in basepoints):
-            raise ValueError("basepoints must be single group elements of one alphabet size")
         if generator is not None and not np.array_equal(generator.times, times):
             raise ValueError("a generating path must have the basepoint times as its knots")
         self.gamma = float(gamma)
         self.level = int(level)
+        self.dim = basepoints.dim
         self.times = times
-        self.basepoints = list(basepoints)
         self.generator = generator
-        # The same basepoints as one read-only (K, size) array.
-        self._stack = np.stack([g.tensor.array for g in self.basepoints])
-        self._stack.setflags(write=False)
+        self._stack = stack
 
-    @property
-    def dim(self) -> int:
-        return self.basepoints[0].dim
+    @cached_property
+    def basepoints(self) -> tuple[GroupTensor, ...]:
+        """The basepoints as group elements viewing the rows of the array."""
+        return tuple(GroupTensor(self._tensor(row)) for row in self._stack)
 
     @property
     def horizon(self) -> float:
@@ -217,13 +239,10 @@ class GeometricRoughPath:
     def _basepoints_at(self, ts: np.ndarray) -> np.ndarray:
         """W_t for a batch of times (B,) as a (B, size) array: knots looked
         up at once, one ``_between_knots`` for all off-grid times."""
-        times = self.times
         outside = ~((ts >= -1e-12) & (ts <= self.horizon + 1e-12))
         if outside.any():
             raise ValueError(f"time {ts[outside][0]} outside [0, {self.horizon}]")
-        j = np.searchsorted(times, ts)
-        hi, lo = np.minimum(j, len(times) - 1), np.maximum(j - 1, 0)
-        knot = np.where(np.abs(times[hi] - ts) <= 1e-12, hi, np.where(np.abs(times[lo] - ts) <= 1e-12, lo, -1))
+        knot = grid_index(self.times, ts, 1e-12)
         out = self._stack[knot]
         if (knot < 0).any():
             out[knot < 0] = self._between_knots(ts[knot < 0])
@@ -232,13 +251,7 @@ class GeometricRoughPath:
     def basepoint_at(self, t: float) -> GroupTensor:
         """W_t, exactly at knots; between knots via the generator when
         present (exact for piecewise-linear paths) or geodesically."""
-        t = float(t)
-        if not -1e-12 <= t <= self.horizon + 1e-12:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        j = self._knot_index(t)
-        if j is not None:
-            return self.basepoints[j]
-        return GroupTensor(self._tensor(self._between_knots(np.asarray(t))))
+        return GroupTensor(self._tensor(self._basepoints_at(np.array([float(t)]))[0]))
 
     def increment(self, s: float, t: float) -> GroupTensor:
         """The increment W_{st} = W_s^{-1} ⋆ W_t; identity when s == t."""
@@ -249,8 +262,8 @@ class GeometricRoughPath:
             return GroupTensor.identity(self.dim, self.level)
         js, jt = self._knot_index(s), self._knot_index(t)
         left = self._inverses[js] if js is not None else self._inverse(self.basepoint_at(s).tensor.array)
-        right = self.basepoints[jt] if jt is not None else self.basepoint_at(t)
-        return GroupTensor(convolution(self._tensor(left), right.tensor))
+        right = self._stack[jt] if jt is not None else self.basepoint_at(t).tensor.array
+        return GroupTensor(convolution(self._tensor(left), self._tensor(right)))
 
     def increments(self, lefts, rights) -> GroupTensor:
         """W_{s_c t_c} for every pair (s_c, t_c), as one (C, size) batch:
@@ -291,6 +304,19 @@ class GeometricRoughPath:
                 worst = np.maximum(worst, np.max(np.abs(incs) / span[:, None] ** (lengths * self.gamma), axis=0))
         return {w: float(c) for w, c in zip(words, worst) if len(w) >= 1}
 
+    def at_level(self, level: int) -> "GeometricRoughPath":
+        """The path at a truncation level at least its own: ``lift_pl`` of
+        the generator if attached, else geodesic (segment logs padded with
+        zeros, one batched exponential, running products)."""
+        if level < self.level:
+            raise ValueError(f"cannot lower the truncation level from {self.level} to {level}")
+        if level == self.level:
+            return self
+        if self.generator is not None:
+            return lift_pl(self.generator, self.gamma, level)
+        logs = self._tensor(self._segment_logs).at_level(level)
+        return GeometricRoughPath(self.gamma, level, self.times, _running_products(tensor_exp(logs).tensor))
+
     # -- serialization ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -298,28 +324,41 @@ class GeometricRoughPath:
             "gamma": self.gamma,
             "level": self.level,
             "times": [float(t) for t in self.times],
-            "basepoints": [g.tensor.to_json_dict() for g in self.basepoints],
+            "basepoints": [self._tensor(row).to_json_dict() for row in self._stack],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeometricRoughPath":
-        """Load and validate: finite times and coefficients, and every
-        basepoint a character to 1e-9·max(1, ‖g‖∞)², checked in one batch."""
+        """Load into one (K, size) array by word rank.  Each basepoint needs
+        the path's d and level, words over 1..d up to the level, finite
+        numbers, and to be a character to 1e-9·max(1, ‖g‖∞)² (one batch)."""
         times = np.asarray(data["times"], dtype=float)
         if times.ndim != 1 or not np.isfinite(times).all():
             raise ValueError("rough-path times must be a list of finite numbers")
-        tensors = [TruncatedTensor.from_json_dict(t) for t in data["basepoints"]]
-        path = cls(
-            gamma=float(data["gamma"]),
-            level=int(data["level"]),
-            times=times,
-            basepoints=[GroupTensor(t) for t in tensors],
-        )
-        stacked = np.stack([t.array for t in tensors])
+        level, entries = int(data["level"]), data["basepoints"]
+        if not entries:
+            raise ValueError("need at least one basepoint")
+        d = int(entries[0]["d"])
+        for k, entry in enumerate(entries):
+            if (int(entry["d"]), int(entry["level"])) != (d, level):
+                raise ValueError(f"basepoint {k} has d={entry['d']}, level={entry['level']}; want {d}, {level}")
+        index = _letter_index(d, level)
+        rows = np.repeat(np.arange(len(entries)), [len(entry["terms"]) for entry in entries])
+        terms = [term for entry in entries for term in entry["terms"]]
+        ranks = np.array([index.get(tuple(term["word"]), -1) for term in terms], dtype=np.intp)
+        values = np.array([term["value"] for term in terms])
+        if (ranks < 0).any():
+            t = int(np.argmax(ranks < 0))
+            raise ValueError(f"basepoint {rows[t]}: word {terms[t]['word']} is not over 1..{d} up to length {level}")
+        if values.dtype.kind not in "iuf" or values.ndim != 1:
+            raise ValueError("basepoint values must be numbers")
+        stacked = np.zeros((len(entries), len(index)))
+        stacked[rows, ranks] = values
         finite = np.isfinite(stacked).all(axis=1)
         if not finite.all():
             raise ValueError(f"basepoint {int(np.argmin(finite))} has a non-finite coefficient")
-        violation = is_character(TruncatedTensor.from_array(path.dim, path.level, stacked)).violation
+        path = cls(float(data["gamma"]), level, times, GroupTensor(_wrap(d, level, stacked)))
+        violation = is_character(path._tensor(stacked)).violation
         scale = np.maximum(1.0, np.max(np.abs(stacked), axis=1))
         bad = np.flatnonzero(~(violation <= 1e-9 * scale**2))
         if len(bad):
@@ -343,19 +382,13 @@ def lift_pl(path: PiecewiseLinearPath, gamma: float, level: int | None = None) -
 
     Each segment contributes the tensor exponential of its increment (all
     formed in one batched call); the basepoints are running convolutions,
-    so Chen's relation holds exactly up to float error.  ``level`` defaults to N_γ and may be raised above
-    it (never lowered below 1).
+    so Chen's relation holds exactly up to float error.  ``level``
+    defaults to N_γ and may be raised above it (never lowered below 1).
     """
     if level is None:
         level = hoelder_level(gamma)
-    segments = _segment_exp(np.diff(path.values, axis=0), level).tensor.array
-    basepoints = [GroupTensor.identity(path.dim, level)]
-    for row in segments:
-        step = TruncatedTensor.from_array(path.dim, level, row)
-        basepoints.append(GroupTensor(convolution(basepoints[-1].tensor, step)))
-    return GeometricRoughPath(
-        gamma=gamma, level=level, times=path.times, basepoints=basepoints, generator=path
-    )
+    basepoints = _running_products(_segment_exp(np.diff(path.values, axis=0), level).tensor)
+    return GeometricRoughPath(gamma=gamma, level=level, times=path.times, basepoints=basepoints, generator=path)
 
 
 def sample_fbm(

@@ -142,21 +142,9 @@ class FlowSolutionOracle:
         self.mesh = float(mesh)
         n_gamma = problem.driver.hoelder_level
         self.jet_order = n_gamma if jet_order is None else int(jet_order)
-        # The characteristics do not depend on the lift level: when the
-        # driver carries its generating path, the flow may be solved with a
-        # higher-level lift for accuracy (the verification thresholds still
-        # come from the problem's γ).
-        self.solve_driver = problem.driver
-        if (
-            solve_level is not None
-            and solve_level > problem.driver.level
-            and problem.driver.generator is not None
-        ):
-            from .roughpath import lift_pl
-
-            self.solve_driver = lift_pl(
-                problem.driver.generator, problem.driver.gamma, solve_level
-            )
+        # The flow may be solved with a higher-level lift for accuracy; the
+        # verification thresholds still come from the problem's γ.
+        self.solve_driver = problem.driver if solve_level is None else problem.driver.at_level(solve_level)
         self.table = derive_fields(problem.fields, self.solve_driver.level)
         self._cache: dict[tuple[float, bytes], JetFunction] = {}
 
