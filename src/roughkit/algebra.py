@@ -42,6 +42,13 @@ class Word:
             raise ValueError(f"word letters must be >= 1, got {letters}")
         object.__setattr__(self, "letters", letters)
 
+    @classmethod
+    def _of(cls, letters: tuple[int, ...]) -> "Word":
+        """A word from letters taken from valid words, without the check."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
@@ -53,7 +60,7 @@ class Word:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word(self.letters[item])
+            return Word._of(self.letters[item])
         return self.letters[item]
 
     def __hash__(self) -> int:
@@ -66,7 +73,7 @@ class Word:
         return self.sort_key() < other.sort_key()
 
     def __add__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word._of(self.letters + other.letters)
 
     def __repr__(self) -> str:
         return "Word(%s)" % (",".join(str(i) for i in self.letters) or "ε")
@@ -75,7 +82,7 @@ class Word:
         return (len(self.letters), self.letters)
 
     def reversed(self) -> "Word":
-        return Word(self.letters[::-1])
+        return Word._of(self.letters[::-1])
 
     @property
     def max_letter(self) -> int:
@@ -93,7 +100,7 @@ def word(*letters: int) -> Word:
 @lru_cache(maxsize=None)
 def words_of_length(d: int, p: int) -> tuple[Word, ...]:
     """All words of length ``p`` over ``{1..d}`` in lexicographic order."""
-    return tuple(Word(t) for t in itertools.product(range(1, d + 1), repeat=p))
+    return tuple(Word._of(t) for t in itertools.product(range(1, d + 1), repeat=p))
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +144,7 @@ def _shuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> dict[tuple[int, ..
 
 def shuffle_word_multiset(u: Word, v: Word) -> dict[Word, int]:
     """Shuffle product of two basis words, with integer multiplicities."""
-    return {Word(w): c for w, c in _shuffle_words(u.letters, v.letters).items()}
+    return {Word._of(w): c for w, c in _shuffle_words(u.letters, v.letters).items()}
 
 
 def shuffle_coefficient(w: Word, parts: tuple[Word, ...]) -> int:
@@ -210,7 +217,7 @@ def deshuffles(w: Word, k: int) -> DeshuffleTable:
         if len(set(labels)) != k:
             continue
         parts = tuple(
-            Word(tuple(w.letters[i] for i in range(p) if labels[i] == j))
+            Word._of(tuple(w.letters[i] for i in range(p) if labels[i] == j))
             for j in range(k)
         )
         weights[parts] = weights.get(parts, 0) + 1
@@ -327,6 +334,28 @@ def expansion_plan(d: int, lo: int, hi: int) -> ExpansionPlan:
         parts = np.array(list(columns), dtype=np.intp).reshape(len(columns), k)
         arities.append(_frozen(parts, weights / math.factorial(k)))
     return ExpansionPlan(len(targets), tuple(arities))
+
+
+@lru_cache(maxsize=None)
+def shift_table(d: int, level: int, prepend: bool) -> np.ndarray:
+    """(W, W) dense indices over ``words_up_to(d, level)``: row w, column v
+    holds the index of v·w (``prepend``) or of w·v, and −1 where
+    |v|+|w| > level; read off the concatenation product table."""
+    w, u, v, _ = _product_table(d, level, False)
+    table = np.full((_size(d, level),) * 2, -1, dtype=np.intp)
+    table[(v, u) if prepend else (u, v)] = w
+    return _frozen(table)[0]
+
+
+def graded_shift(increments: np.ndarray, coeffs: np.ndarray, d: int, level: int, prepend: bool) -> np.ndarray:
+    """Σ_v ⟨g_p, e_v⟩ c_p[v·w] (``prepend``) or c_p[w·v] over |v|+|w| <=
+    level, for every row p and word w, in one gather and one einsum: dense
+    increments (P, ≥W) of any level >= ``level`` act on coeffs
+    (P, W, width) over ``words_up_to(d, level)``; the result has the shape
+    of coeffs."""
+    table = shift_table(d, level, prepend)
+    padded = np.concatenate([coeffs, np.zeros((len(coeffs), 1, coeffs.shape[2]))], axis=1)
+    return np.einsum("pv,pwvk->pwk", increments[:, : len(table)], padded[:, table])
 
 
 def _cols(x: np.ndarray, idx) -> np.ndarray:

@@ -43,7 +43,6 @@ from .rpde import (
     verify_continuity,
     verify_transport,
 )
-from .selftest import run_selftest
 
 
 def _config_hash(payload: dict) -> str:
@@ -283,6 +282,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest(
         gamma=args.gamma,
         fast=args.fast,

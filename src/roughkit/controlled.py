@@ -22,13 +22,14 @@ partition).
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, Word, _letter_index, expansion_plan, words_up_to
+from .algebra import EMPTY_WORD, Word, expansion_plan, graded_shift, shift_table, words_up_to
 from .functions import SmoothFunction, graded_expansion
-from .regression import SLOPE_MARGIN, OrderCheck, check_order, dyadic_pairs
+from .regression import SLOPE_MARGIN, OrderCheck, dyadic_pairs, order_checks, pair_arrays
 from .roughpath import GeometricRoughPath, grid_index
 
 
@@ -91,6 +92,12 @@ class ControlledPath:
         if arr is None:
             return np.zeros((len(self.times), self.width))
         return arr
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """All coefficients as one (len(times), words, width) array over
+        the words of length <= order−1 in canonical order."""
+        return np.stack([self.coeff(w) for w in words_up_to(self.dim, self.order - 1)], axis=1)
 
     def index_of(self, t):
         """Grid index of a time, or an index array for an array of times."""
@@ -192,13 +199,13 @@ def coordinate_lift(reference: GeometricRoughPath, letter: int, order: int | Non
     Primal trace ⟨W_{0t}, e_letter⟩, unit coefficient at the word (letter),
     zero elsewhere.
     """
+    if not 1 <= letter <= reference.dim:
+        raise ValueError(f"letter must lie in 1..{reference.dim}, got {letter}")
     order = reference.hoelder_level if order is None else order
     times = reference.times
-    primal = np.array([[reference.increment(0.0, t).coeff(Word((letter,)))] for t in times])
-    ones = np.ones((len(times), 1))
-    coeffs = {EMPTY_WORD: primal}
+    coeffs = {EMPTY_WORD: reference.increments(np.zeros(len(times)), times).tensor.array[:, [letter]]}
     if order >= 2:
-        coeffs[Word((letter,))] = ones
+        coeffs[Word((letter,))] = np.ones((len(times), 1))
     return ControlledPath(reference, order, 1, times, coeffs)
 
 
@@ -206,27 +213,17 @@ def coordinate_lift(reference: GeometricRoughPath, letter: int, order: int | Non
 # Remainders, seminorms and order checks.
 # ---------------------------------------------------------------------------
 
-def _remainder(X: ControlledPath, i: int, j: int) -> dict[Word, np.ndarray]:
-    """R_w(t_i, t_j) for every word of length <= order−1, as width-vectors.
+def _remainders(X: ControlledPath, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """R_w(t_i, t_j) for index arrays i and j, shape (pairs, words, width)
+    over the words of length <= order−1 in canonical order.
 
     The compensation is ⟨W_{st} ⋆ e_w*, X_s⟩ = Σ_v ⟨e_{vw}*, X_s⟩⟨W_{st}, e_v⟩:
     the increment's word is *prepended* (e_v* ⋆ e_w* = e_{vw}*), which is
     what solution lifts and composed lifts satisfy; the appended variant
     differs once d >= 2 and fails its order.
     """
-    inc = X.reference.increment(X.times[i], X.times[j])
-    n = X.order
-    out: dict[Word, np.ndarray] = {}
-    for w in words_up_to(X.dim, n - 1):
-        acc = np.zeros(X.width)
-        for v in words_up_to(X.dim, n - 1 - len(w)):
-            c = inc.coeff(v)
-            if c != 0.0:
-                arr = X.coeffs.get(v + w)
-                if arr is not None:
-                    acc = acc + c * arr[i]
-        out[w] = X.coeff(w)[j] - acc
-    return out
+    incs = X.reference.increments(X.times[i], X.times[j]).tensor.array
+    return X.stacked[j] - graded_shift(incs, X.stacked[i], X.dim, X.order - 1, prepend=True)
 
 
 class ControlledNorms(NamedTuple):
@@ -240,24 +237,21 @@ def controlled_norms(X: ControlledPath) -> ControlledNorms:
 
     The seminorm sums, over words of length < N, the grid supremum of
     |R_w(s,t)| / |t−s|^{(N−|w|)γ}; the norm adds the largest initial
-    coefficient.  All s < t pairs of the grid are used: O(G²) increments.
+    coefficient.  All s < t pairs of the grid are used: O(G²) increments,
+    taken one left point at a time so that memory stays O(G).
     """
     if len(X.times) < 2:
         raise ValueError("controlled_norms needs at least two grid points")
-    gamma = X.reference.gamma
-    n = X.order
-    sups: dict[Word, float] = {w: 0.0 for w in words_up_to(X.dim, n - 1)}
-    for i in range(len(X.times)):
-        for j in range(i + 1, len(X.times)):
-            span = X.times[j] - X.times[i]
-            rem = _remainder(X, i, j)
-            for w, r in rem.items():
-                ratio = float(np.max(np.abs(r))) / span ** ((n - len(w)) * gamma)
-                if ratio > sups[w]:
-                    sups[w] = ratio
-    seminorm = float(sum(sups.values()))
-    initial = max(float(np.max(np.abs(X.coeff(w)[0]))) for w in words_up_to(X.dim, n - 1))
-    return ControlledNorms(seminorm=seminorm, norm=initial + seminorm, per_word=sups)
+    words = words_up_to(X.dim, X.order - 1)
+    exponents = np.array([(X.order - len(w)) * X.reference.gamma for w in words])
+    sups = np.zeros(len(words))
+    for i in range(len(X.times) - 1):
+        j = np.arange(i + 1, len(X.times))
+        rem = np.abs(_remainders(X, np.full(len(j), i), j)).max(axis=2)
+        sups = np.maximum(sups, (rem / (X.times[j] - X.times[i])[:, None] ** exponents).max(axis=0))
+    seminorm = float(sups.sum())
+    initial = float(np.abs(X.stacked[0]).max())
+    return ControlledNorms(seminorm=seminorm, norm=initial + seminorm, per_word=dict(zip(words, sups.tolist())))
 
 
 def check_controlled(
@@ -276,32 +270,12 @@ def check_controlled(
     +inf and pass, and a grid too short to resolve at least two usable
     scales cannot certify and fails.
     """
-    gamma = X.reference.gamma
-    n = X.order
     scales = dyadic_pairs(len(X.times), max_scales=max_scales, min_pairs=min_pairs)
-    spans: list[float] = []
-    defects: dict[Word, list[float]] = {w: [] for w in words_up_to(X.dim, n - 1)}
-    for stride, pairs in scales:
-        acc = {w: 0.0 for w in defects}
-        span_acc = 0.0
-        for i, j in pairs:
-            rem = _remainder(X, i, j)
-            for w, r in rem.items():
-                acc[w] += float(np.max(np.abs(r)))
-            span_acc += X.times[j] - X.times[i]
-        spans.append(span_acc / len(pairs))
-        for w in defects:
-            defects[w].append(acc[w] / len(pairs))
-    return {
-        w: check_order(
-            name=f"remainder[{','.join(map(str, w.letters)) or 'ε'}]",
-            scales=spans,
-            defects=defects[w],
-            threshold=(n - len(w)) * gamma,
-            margin=margin,
-        )
-        for w in defects
-    }
+    i, j, scale_ids = pair_arrays([pairs for _, pairs in scales])
+    words = words_up_to(X.dim, X.order - 1)
+    defects = np.abs(_remainders(X, i, j)).max(axis=2)
+    thresholds = [(X.order - len(w)) * X.reference.gamma for w in words]
+    return order_checks("remainder", words, defects, X.times[j] - X.times[i], scale_ids, thresholds, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +298,8 @@ def compose(phi: SmoothFunction, X: ControlledPath) -> ControlledPath:
     out: dict[Word, np.ndarray] = {EMPTY_WORD: phi.values(xs)}
     words = words_up_to(X.dim, n - 1)
     present = np.array([w in X.coeffs for w in words])
-    values = np.stack([X.coeff(w) for w in words], axis=1)
     plan = expansion_plan(X.dim, 1, n - 1)
-    coeffs = graded_expansion(lambda k: [phi.deriv_tensors(xs, k)], values, plan, phi.n_out, present)
+    coeffs = graded_expansion(lambda k: [phi.deriv_tensors(xs, k)], X.stacked, plan, phi.n_out, present)
     for w, acc in zip(words[1:], coeffs.swapaxes(0, 1)):
         if np.any(acc != 0.0):
             out[w] = acc
@@ -367,10 +340,9 @@ def rough_integral(X: ControlledPath, letter: int, partition) -> RoughIntegralRe
     tail = Word((letter,))
     # ⟨W_{ab}, e_{w·letter}⟩ for every cell and word, against ⟨e_w*, X_a⟩.
     words = words_up_to(reference.dim, n_gamma - 1)
-    index = _letter_index(reference.dim, reference.level)
     incs = reference.increments(partition[:-1], partition[1:]).tensor.array
-    cells = incs[:, [index[w.letters + tail.letters] for w in words]]
-    coeffs = np.stack([X.coeff(w)[idx[:-1]] for w in words], axis=1)
+    cells = incs[:, shift_table(reference.dim, n_gamma, False)[: len(words), letter]]
+    coeffs = X.stacked[idx[:-1], : len(words)]
     values = np.zeros((len(partition), X.width))
     np.cumsum(np.einsum("cw,cwk->ck", cells, coeffs), axis=0, out=values[1:])
     lift_coeffs: dict[Word, np.ndarray] = {EMPTY_WORD: values}

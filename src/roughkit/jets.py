@@ -39,7 +39,7 @@ from .algebra import GroupTensor, words_up_to
 from .errors import NumericalFailure
 from .functions import SmoothFunction
 from .rde import DerivedFieldTable, VectorFieldSystem, as_batch, derive_fields, solve_rde
-from .regression import OrderCheck, check_order
+from .regression import OrderCheck, order_checks
 from .roughpath import GeometricRoughPath
 
 
@@ -426,13 +426,11 @@ def partial_davie_check(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     jet_order = max(len(a) for a in alphas)
     table = derive_fields(system, driver.level)
-    spans: list[float] = []
-    defects: dict[tuple[int, ...], list[float]] = {a: [] for a in alphas}
+    spans, scale_ids, defects = [], [], []
     horizon = driver.horizon
     for m in range(n_spans):
         span = horizon * 0.5**m
         starts = np.linspace(0.0, horizon - span, anchors) if span < horizon else np.array([0.0])
-        acc = {a: [] for a in alphas}
         for s in starts:
             partition = np.linspace(s, s + span, substeps + 1)
             jets = solve_flow_jets(
@@ -440,21 +438,14 @@ def partial_davie_check(
                 method=method, table=table if method == "composed" else None,
             )
             g = driver.increment(float(s), float(s + span))
-            for a in alphas:
-                lhs = jets.derivative(a, index=-1)
-                rhs = partial_davie_expansion(table, x0, g, a)
-                acc[a].append(float(np.max(np.abs(lhs - rhs))))
-        spans.append(span)
-        for a in alphas:
-            defects[a].append(float(np.mean(acc[a])))
+            defects.append([
+                float(np.max(np.abs(jets.derivative(a, index=-1) - partial_davie_expansion(table, x0, g, a))))
+                for a in alphas
+            ])
+            spans.append(span)
+            scale_ids.append(m)
     threshold = (driver.hoelder_level + 1) * driver.gamma
-    return {
-        a: check_order(
-            name=f"flow-derivative[{','.join(map(str, a))}]",
-            scales=spans,
-            defects=defects[a],
-            threshold=threshold,
-            margin=margin,
-        )
-        for a in alphas
-    }
+    return order_checks(
+        "flow-derivative", alphas, np.array(defects), np.array(spans), np.array(scale_ids),
+        [threshold] * len(alphas), margin,
+    )

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, GroupTensor, Word, _wrap, deshuffles, expansion_plan, words_up_to
+from .algebra import EMPTY_WORD, GroupTensor, Word, _wrap, deshuffles, expansion_plan, graded_shift, words_up_to
 from .controlled import ControlledPath, compose, rough_integral
 from .errors import NumericalFailure
 from .functions import (
@@ -48,7 +48,7 @@ from .functions import (
     poly_mul,
     product_partial,
 )
-from .regression import SLOPE_MARGIN, OrderCheck, check_order, dyadic_pairs
+from .regression import SLOPE_MARGIN, OrderCheck, dyadic_pairs, order_checks, pair_arrays
 from .roughpath import GeometricRoughPath
 
 
@@ -535,18 +535,6 @@ def gamma_by_composition(w: Word, system: VectorFieldSystem, phi: SmoothFunction
 # Itô identity and graded Itô-Davie defects.
 # ---------------------------------------------------------------------------
 
-def pair_increment_coeffs(
-    driver: GeometricRoughPath, times: np.ndarray, scales: Sequence[tuple[object, Sequence[tuple[int, int]]]]
-) -> dict[tuple[int, int], list[float]]:
-    """⟨W_{t_i t_j}, e_v⟩ for every word v in canonical order, computed once
-    per pair (i, j) of the scales in one batch; the words up to any length
-    are a prefix."""
-    pairs = [pair for _, scale in scales for pair in scale]
-    index = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    incs = driver.increments(np.asarray(times)[index[:, 0]], np.asarray(times)[index[:, 1]])
-    return dict(zip(pairs, incs.tensor.array.tolist()))
-
-
 class ItoReport(NamedTuple):
     identity_residual: float
     graded: dict[Word, OrderCheck]
@@ -582,31 +570,15 @@ def ito_check(
         lhs = lifted.primal - lifted.primal[0]
         residual = float(np.max(np.abs(lhs - total)))
 
-    graded: dict[Word, OrderCheck] = {}
-    scales = dyadic_pairs(len(times), min_pairs=8)
-    coeffs = pair_increment_coeffs(driver, times, scales)
-    for w in words_up_to(driver.dim, n_gamma):
-        spans: list[float] = []
-        defects: list[float] = []
-        for stride, pairs in scales:
-            cell = []
-            for i, j in pairs:
-                expansion = np.zeros(1)
-                # Expansions along the flow compose the new letters
-                # outermost: the ⟨W, e_v⟩ coefficient is Γ_{vw}φ.
-                for v, c in zip(words_up_to(driver.dim, n_gamma - len(w)), coeffs[(i, j)]):
-                    if c != 0.0:
-                        expansion = expansion + c * lifted.coeff(v + w)[i]
-                cell.append(float(np.max(np.abs(lifted.coeff(w)[j] - expansion))))
-            spans.append(float(np.mean([times[j] - times[i] for i, j in pairs])))
-            defects.append(float(np.mean(cell)))
-        graded[w] = check_order(
-            name=f"ito[{','.join(map(str, w.letters)) or 'ε'}]",
-            scales=spans,
-            defects=defects,
-            threshold=(n_gamma + 1 - len(w)) * driver.gamma,
-            margin=margin,
-        )
+    # Expansions along the flow compose the new letters outermost: the
+    # ⟨W_{st}, e_v⟩ coefficient of Γ_wφ(X_t) is Γ_{vw}φ(X_s).
+    i, j, scale_ids = pair_arrays([pairs for _, pairs in dyadic_pairs(len(times), min_pairs=8)])
+    incs = driver.increments(times[i], times[j]).tensor.array
+    values = lifted.stacked
+    defects = np.abs(values[j] - graded_shift(incs, values[i], driver.dim, n_gamma, prepend=True)).max(axis=2)
+    words = words_up_to(driver.dim, n_gamma)
+    thresholds = [(n_gamma + 1 - len(w)) * driver.gamma for w in words]
+    graded = order_checks("ito", words, defects, times[j] - times[i], scale_ids, thresholds, margin)
     return ItoReport(identity_residual=residual, graded=graded)
 
 

@@ -11,6 +11,7 @@ certifies nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -105,6 +106,35 @@ def check_order(
         scales=tuple(float(s) for s in np.asarray(scales, dtype=float)),
         defects=tuple(float(x) for x in np.asarray(defects, dtype=float)),
     )
+
+
+def order_checks(
+    prefix: str, keys: Sequence[Sequence[int]], defects: np.ndarray, spans: np.ndarray,
+    scale_ids: np.ndarray, thresholds: Sequence[float], margin: float = SLOPE_MARGIN,
+) -> dict:
+    """One-sided ``check_order`` of each key k, named ``prefix[letters of
+    k]`` (ε when empty), against ``thresholds[k]``: the per-pair defects
+    (pairs, keys) and spans (pairs,) are averaged per scale id 0, 1, ….
+    """
+    counts = np.bincount(scale_ids)
+    scales = np.bincount(scale_ids, weights=spans) / counts
+    return {
+        key: check_order(
+            name=f"{prefix}[{','.join(map(str, key)) or 'ε'}]",
+            scales=scales,
+            defects=np.bincount(scale_ids, weights=defects[:, k]) / counts,
+            threshold=thresholds[k],
+            margin=margin,
+        )
+        for k, key in enumerate(keys)
+    }
+
+
+def pair_arrays(scales: Sequence[Sequence[tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (i, j) pairs of every scale, in order, as index arrays i and j
+    plus each pair's scale id."""
+    i, j = np.array([pair for pairs in scales for pair in pairs], dtype=np.intp).reshape(-1, 2).T
+    return i, j, np.repeat(np.arange(len(scales)), [len(pairs) for pairs in scales])
 
 
 def dyadic_pairs(

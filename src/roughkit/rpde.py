@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Word, expansion_plan, words_up_to
+from .algebra import Word, expansion_plan, graded_shift, words_up_to
 from .functions import JetFunction, SmoothFunction, graded_expansion
 from .jets import jet_compose, terminal_flow_jets
 from .rde import (
@@ -41,10 +41,9 @@ from .rde import (
     VectorFieldSystem,
     as_batch,
     derive_fields,
-    pair_increment_coeffs,
     solve_rde,
 )
-from .regression import SLOPE_MARGIN, OrderCheck, check_order, dyadic_pairs
+from .regression import SLOPE_MARGIN, OrderCheck, dyadic_pairs, order_checks, pair_arrays
 from .roughpath import GeometricRoughPath
 
 def solve_partition(driver: GeometricRoughPath, s: float, t: float, mesh: float) -> np.ndarray:
@@ -182,16 +181,18 @@ class FlowSolutionOracle:
 
 
 def _gamma_rows(
-    table: DerivedFieldTable, tensors: Callable[[int], np.ndarray], f_values: np.ndarray, max_len: int
+    table: DerivedFieldTable, tensors: Callable[[int], list[np.ndarray]], f_values: np.ndarray, max_len: int
 ) -> np.ndarray:
-    """Γ_w fn at M points for all |w| <= max_len, shape (M, words), from
-    fn's derivative tensors ``tensors(k)``, shape (M, 1) + (n,)*k with
-    k = 0 the values, and the table values f_values (M, words, n).
+    """Γ_w fn at M points for all |w| <= max_len and C scalar channels,
+    shape (M, words, C), from the channels' derivative tensors
+    ``tensors(k)``, a list of (M, C_j) + (n,)*k arrays with k = 0 the
+    values, and the table values f_values (M, words, n).
 
     Γ_wfn(x) = Σ_k (1/k!) Σ m·D^k fn(x)(F_{u_1}(x), …); Γ_ε = fn(x).
     """
-    gamma = graded_expansion(lambda k: [tensors(k)], f_values, expansion_plan(table.system.d, 1, max_len), 1)
-    return np.concatenate([tensors(0), gamma[:, :, 0]], axis=1)
+    values = np.concatenate(tensors(0), axis=1)
+    gamma = graded_expansion(tensors, f_values, expansion_plan(table.system.d, 1, max_len), values.shape[1])
+    return np.concatenate([values[:, None], gamma], axis=1)
 
 
 def _gamma_values_from_oracle(
@@ -210,50 +211,40 @@ def _gamma_values_from_oracle(
     xs, single = as_batch(x, table.system.n)
     words = words_up_to(table.system.d, max_len)
     values = np.stack([np.reshape(f_values[u], xs.shape) for u in words], axis=1)
-    out = _gamma_rows(table, lambda k: fn.deriv_tensors(xs, k), values, max_len)
+    out = _gamma_rows(table, lambda k: [fn.deriv_tensors(xs, k)], values, max_len)[:, :, 0]
     return dict(zip(words, out[0].tolist())) if single else dict(zip(words, out.T))
 
 
 class GradedReport(NamedTuple):
-    """Per-word graded defect order checks plus run metadata."""
+    """Per-word graded defect order checks."""
 
     checks: dict[Word, OrderCheck]
-    meta: dict
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks.values())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "meta": self.meta,
-            "checks": {
-                ",".join(map(str, w.letters)) or "ε": c.to_json_dict()
-                for w, c in sorted(self.checks.items(), key=lambda kv: kv[0].sort_key())
-            },
-            "passed": self.passed,
-        }
-
 
 def _select_time_pairs(
     time_grid: np.ndarray, anchors_per_scale: int, min_pairs: int = 4
-) -> list[tuple[float, list[tuple[int, int]]]]:
-    """Dyadic-stride pairs on the time grid, subsampled to bound work.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dyadic-stride pairs on the time grid, subsampled to bound work, as
+    index arrays (i, j) and each pair's scale id.
 
     Scales with fewer than ``min_pairs`` disjoint pairs are outside the
     regime where an aggregate defect is statistically meaningful.
     """
     if anchors_per_scale < 1:
         raise ValueError(f"need at least one time pair per scale, got {anchors_per_scale}")
-    n = len(time_grid)
-    out = []
-    for stride, pairs in dyadic_pairs(n, min_pairs=min_pairs):
+    scales = []
+    for stride, pairs in dyadic_pairs(len(time_grid), min_pairs=min_pairs):
         if len(pairs) > anchors_per_scale:
             chosen = np.linspace(0, len(pairs) - 1, anchors_per_scale).round().astype(int)
             pairs = [pairs[i] for i in chosen]
-        span = float(np.mean([time_grid[j] - time_grid[i] for i, j in pairs]))
-        out.append((span, pairs))
-    return out
+        scales.append(pairs)
+    if not scales:
+        raise ValueError(f"a time grid of {len(time_grid)} points has no scale of {min_pairs} disjoint pairs")
+    return pair_arrays(scales)
 
 
 def verify_transport(
@@ -261,73 +252,47 @@ def verify_transport(
     u_oracle: Callable[[float, np.ndarray], SmoothFunction],
     space_grid: Sequence[np.ndarray],
     time_grid: np.ndarray,
-    words: Sequence[Word] | None = None,
     margin: float = SLOPE_MARGIN,
     anchors_per_scale: int = 4,
 ) -> GradedReport:
     """Graded-defect verification of a transport solution candidate.
 
-    For every word w (default: all |w| <= N_γ) evaluates the defect of the
-    backward graded expansion over dyadic time pairs, takes the max over
-    the space grid per pair (the compact-uniformity reading) and the mean
-    per scale, and regresses the order against (N_γ+1−|w|)γ.  A
+    For every word w with |w| <= N_γ evaluates the defect of the backward
+    graded expansion over dyadic time pairs, takes the max over the space
+    grid per pair (the compact-uniformity reading) and the mean per scale,
+    and regresses the order against (N_γ+1−|w|)γ.  A
     ``FlowSolutionOracle`` answers every needed (time, point) row from one
     batched solve; any other candidate is called per (t, x).
     """
     driver = problem.driver
     n_gamma = driver.hoelder_level
     time_grid = np.asarray(time_grid, dtype=float)
-    space_grid = [np.atleast_1d(np.asarray(x, dtype=float)) for x in space_grid]
-    points = np.stack(space_grid)
+    points = np.stack([np.atleast_1d(np.asarray(x, dtype=float)) for x in space_grid])
     table = derive_fields(problem.fields, max(driver.level, n_gamma))
-    all_words = words_up_to(driver.dim, n_gamma)
-    if words is None:
-        words = list(all_words)
-    scales = _select_time_pairs(time_grid, anchors_per_scale)
-    needed_times = sorted({time_grid[i] for _, pairs in scales for pair in pairs for i in pair})
-    coeffs = pair_increment_coeffs(driver, time_grid, scales)
+    words = words_up_to(driver.dim, n_gamma)
+    i, j, scale_ids = _select_time_pairs(time_grid, anchors_per_scale)
+    needed, rows = np.unique(np.concatenate([i, j]), return_inverse=True)
+    needed_times = time_grid[needed].tolist()
 
     # D^k u at every needed (time, point) row, then all Γ_w u in one kernel call.
-    rows = [(t, x) for t in needed_times for x in points]
     if isinstance(u_oracle, FlowSolutionOracle):
         if u_oracle.jet_order < n_gamma:
             raise ValueError(f"oracle jet order {u_oracle.jet_order} is below N_γ = {n_gamma}")
-        u = [b.reshape((len(rows), 1) + b.shape[2:]) for b in u_oracle.jets(needed_times, points)]
+        u = [b.reshape((len(needed) * len(points), 1) + b.shape[2:]) for b in u_oracle.jets(needed_times, points)]
     else:
-        fns = [(u_oracle(t, x), x[None]) for t, x in rows]
+        fns = [(u_oracle(t, x), x[None]) for t in needed_times for x in points]
         u = [np.concatenate([fn.deriv_tensors(x, k) for fn, x in fns]) for k in range(n_gamma + 1)]
     f_values = table.values_at(points)
-    f = np.tile(np.stack([f_values[w] for w in all_words], axis=1), (len(needed_times), 1, 1))
-    gamma = _gamma_rows(table, u.__getitem__, f, n_gamma)
-    at = dict(zip(needed_times, gamma.reshape(len(needed_times), len(points), -1)))
-    index = {w: k for k, w in enumerate(all_words)}
+    f = np.tile(np.stack([f_values[w] for w in words], axis=1), (len(needed), 1, 1))
+    gamma = _gamma_rows(table, lambda k: [u[k]], f, n_gamma).reshape(len(needed), len(points), -1).swapaxes(1, 2)
 
-    checks: dict[Word, OrderCheck] = {}
-    for w in words:
-        tail = [index[w + v] for v in words_up_to(driver.dim, n_gamma - len(w))]
-        spans, defects = [], []
-        for span, pairs in scales:
-            vals = []
-            for i, j in pairs:
-                rhs = at[time_grid[j]][:, tail] @ np.asarray(coeffs[(i, j)][: len(tail)])
-                vals.append(float(np.max(np.abs(at[time_grid[i]][:, index[w]] - rhs))))
-            spans.append(span)
-            defects.append(float(np.mean(vals)))
-        checks[w] = check_order(
-            name=f"transport[{','.join(map(str, w.letters)) or 'ε'}]",
-            scales=spans,
-            defects=defects,
-            threshold=(n_gamma + 1 - len(w)) * driver.gamma,
-            margin=margin,
-        )
-    meta = {
-        "gamma": driver.gamma,
-        "level": driver.level,
-        "time_points": len(time_grid),
-        "space_points": len(space_grid),
-        "anchors_per_scale": anchors_per_scale,
-    }
-    return GradedReport(checks=checks, meta=meta)
+    # Backward expansion: Γ_w u_s ≈ Σ_v ⟨W_{st}, e_v⟩ Γ_{wv} u_t, read at t.
+    incs = driver.increments(time_grid[i], time_grid[j]).tensor.array
+    rhs = graded_shift(incs, gamma[rows[len(i) :]], driver.dim, n_gamma, prepend=False)
+    defects = np.abs(gamma[rows[: len(i)]] - rhs).max(axis=2)
+    thresholds = [(n_gamma + 1 - len(w)) * driver.gamma for w in words]
+    checks = order_checks("transport", words, defects, time_grid[j] - time_grid[i], scale_ids, thresholds, margin)
+    return GradedReport(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -440,71 +405,45 @@ def verify_continuity(
     rho: Callable[[float], ParticleMeasure],
     phis: Sequence[SmoothFunction],
     time_grid: np.ndarray,
-    words: Sequence[Word] | None = None,
     margin: float = SLOPE_MARGIN,
     anchors_per_scale: int = 6,
 ) -> GradedReport:
     """Graded-defect verification of a measure-valued solution candidate.
 
-    Defects of the forward graded expansion, maximized over the supplied
-    test family (the φ-uniformity reading), mean-aggregated per scale and
-    regressed per word against (N_γ+1−|w|)γ.
+    Defects of the forward graded expansion for every word w with
+    |w| <= N_γ, maximized over the supplied test family (the φ-uniformity
+    reading), mean-aggregated per scale and regressed per word against
+    (N_γ+1−|w|)γ.
     """
+    if not phis:
+        raise ValueError("need at least one test function")
     n_gamma = driver.hoelder_level
     time_grid = np.asarray(time_grid, dtype=float)
     table = derive_fields(fields, max(driver.level, n_gamma))
     for phi in phis:
         phi.require_order(n_gamma + 1, "verify_continuity")
-    if words is None:
-        words = [w for w in words_up_to(driver.dim, n_gamma)]
-    scales = _select_time_pairs(time_grid, anchors_per_scale)
-    needed_times = sorted({time_grid[i] for _, pairs in scales for pair in pairs for i in pair})
-    coeffs = pair_increment_coeffs(driver, time_grid, scales)
+    words = words_up_to(driver.dim, n_gamma)
+    i, j, scale_ids = _select_time_pairs(time_grid, anchors_per_scale)
+    needed, rows = np.unique(np.concatenate([i, j]), return_inverse=True)
 
-    # ρ_t(Γ_wφ) tables: evaluate Γ_wφ at all particle points once per time.
-    pairings: dict[tuple[float, int], dict[Word, float]] = {}
-    for t in needed_times:
-        measure = rho(t)
-        f_values = table.values_at(measure.points)
-        for p_idx, phi in enumerate(phis):
-            gv = _gamma_values_from_oracle(table, phi, measure.points, f_values, n_gamma)
-            pairings[(t, p_idx)] = {w: float(measure.weights @ v) for w, v in gv.items()}
+    # ρ_t(Γ_wφ) (times, words, φ): every Γ_wφ at the particles of all
+    # needed times in one batch, then summed per time with the weights.
+    measures = [rho(t) for t in time_grid[needed].tolist()]
+    points = np.concatenate([m.points for m in measures])
+    f_values = table.values_at(points)
+    f = np.stack([f_values[w] for w in words], axis=1)
+    gamma = _gamma_rows(table, lambda k: [phi.deriv_tensors(points, k) for phi in phis], f, n_gamma)
+    weighted = np.concatenate([m.weights for m in measures])[:, None, None] * gamma
+    pairings = np.add.reduceat(weighted, np.cumsum([0] + [m.size for m in measures[:-1]]), axis=0)
 
-    checks: dict[Word, OrderCheck] = {}
-    for w in words:
-        spans, defects = [], []
-        for span, pairs in scales:
-            vals = []
-            for i, j in pairs:
-                s, t = time_grid[i], time_grid[j]
-                worst = 0.0
-                for p_idx in range(len(phis)):
-                    lhs = pairings[(t, p_idx)][w]
-                    rhs = 0.0
-                    # Forward (along-the-flow) expansion: new letters act
-                    # outermost, so the ⟨W, e_v⟩ coefficient is Γ_{vw}φ.
-                    for v, c in zip(words_up_to(driver.dim, n_gamma - len(w)), coeffs[(i, j)]):
-                        if c != 0.0:
-                            rhs += c * pairings[(s, p_idx)][v + w]
-                    worst = max(worst, abs(lhs - rhs))
-                vals.append(worst)
-            spans.append(span)
-            defects.append(float(np.mean(vals)))
-        checks[w] = check_order(
-            name=f"continuity[{','.join(map(str, w.letters)) or 'ε'}]",
-            scales=spans,
-            defects=defects,
-            threshold=(n_gamma + 1 - len(w)) * driver.gamma,
-            margin=margin,
-        )
-    meta = {
-        "gamma": driver.gamma,
-        "level": driver.level,
-        "time_points": len(time_grid),
-        "test_functions": len(phis),
-        "anchors_per_scale": anchors_per_scale,
-    }
-    return GradedReport(checks=checks, meta=meta)
+    # Forward expansion: new letters act outermost, so
+    # ρ_t(Γ_wφ) ≈ Σ_v ⟨W_{st}, e_v⟩ ρ_s(Γ_{vw}φ), read at s.
+    incs = driver.increments(time_grid[i], time_grid[j]).tensor.array
+    rhs = graded_shift(incs, pairings[rows[: len(i)]], driver.dim, n_gamma, prepend=True)
+    defects = np.abs(pairings[rows[len(i) :]] - rhs).max(axis=2)
+    thresholds = [(n_gamma + 1 - len(w)) * driver.gamma for w in words]
+    checks = order_checks("continuity", words, defects, time_grid[j] - time_grid[i], scale_ids, thresholds, margin)
+    return GradedReport(checks)
 
 
 class DualityReport(NamedTuple):
