@@ -440,7 +440,8 @@ class TruncatedTensor:
     @classmethod
     def unit(cls, dim: int, level: int) -> "TruncatedTensor":
         """The unit 𝟙 (equally the counit 𝟙* on the dual side)."""
-        return cls(dim, level, {EMPTY_WORD: 1.0})
+        _check_shape(dim, level)
+        return _wrap(dim, level, np.eye(1, _size(dim, level))[0])
 
     @classmethod
     def basis(cls, dim: int, level: int, w: Word) -> "TruncatedTensor":

@@ -38,6 +38,7 @@ from .rpde import (
     TransportProblem,
     duality_check,
     push_measure,
+    solve_continuity,
     solve_partition,
     solve_transport,
     verify_continuity,
@@ -214,12 +215,8 @@ def _cmd_continuity(args) -> int:
     system = _load_fields(args.fields)
     mu = _load_measure(args.mu)
     phis = _load_phis(args.phis)
-    times = np.asarray([0.0, args.time]) if args.time > 0 else np.asarray([0.0])
-    evolution = push_measure(system, driver, mu, times, mesh=args.mesh)
-    rho_t = evolution.measure_at(args.time)
-    lines = ["phi,value"]
-    for i, phi in enumerate(phis):
-        lines.append(f"{i},{repr(rho_t.pair_function(phi))}")
+    values = solve_continuity(system, driver, mu, args.time, phis, mesh=args.mesh)
+    lines = ["phi,value"] + [f"{i},{repr(float(v))}" for i, v in enumerate(values)]
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"continuity: wrote {len(phis)} pairings to {args.out}")
     return 0

@@ -313,7 +313,6 @@ def terminal_flow_jets(
         table = derive_fields(system, driver.level)
     m = len(xs)
     space = JetSpace(system.n, jet_order)
-    words = words_up_to(driver.dim, driver.level)
     cells = np.array([len(p) - 1 for p in partitions])
     order = np.argsort(-cells, kind="stable")
     cells = cells[order]
@@ -329,11 +328,8 @@ def terminal_flow_jets(
         cell = k - (longest - cells[:live])
         g = np.repeat(incs.tensor.array[first[:live] + cell], m, axis=0)
         jets = [b[: live * m] for b in current]
-        stacks = table.jet_stacks(jets[0], jet_order)
-        davie_stack = [
-            np.einsum("aw,aw...->a...", g, np.stack([stacks[w][q] for w in words], axis=1))
-            for q in range(jet_order + 1)
-        ]
+        blocks = table.jet_stacks(jets[0], jet_order).array
+        davie_stack = [np.einsum("aw,aw...->a...", g, np.ascontiguousarray(b.swapaxes(0, 1))) for b in blocks]
         jets = jet_compose(davie_stack, jets)
         finite = np.logical_and.reduce([np.isfinite(b).reshape(live * m, -1).all(axis=1) for b in jets])
         if not finite.all():

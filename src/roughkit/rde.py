@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -156,6 +157,30 @@ def _poly_derived(parent: PolynomialFunction, direction: PolynomialFunction) -> 
     return PolynomialFunction(parent.n_in, comps)
 
 
+@lru_cache(maxsize=None)
+def _word_rows(d: int, depth: int) -> dict[Word, int]:
+    return {w: i for i, w in enumerate(words_up_to(d, depth))}
+
+
+class WordArrays(Mapping):
+    """A read-only word-keyed view of dense arrays whose leading axis runs
+    over ``words_up_to(d, depth)``: ``v[w]`` is row w of ``array``, or the
+    list of row w of each array when ``array`` is a list (one per order)."""
+
+    def __init__(self, d: int, depth: int, array: np.ndarray | list[np.ndarray]):
+        self.words, self.array, self._rows = words_up_to(d, depth), array, _word_rows(d, depth)
+
+    def __getitem__(self, w: Word):
+        i = self._rows[w]
+        return [a[i] for a in self.array] if isinstance(self.array, list) else self.array[i]
+
+    def __iter__(self):
+        return iter(self.words)
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+
 class DerivedFieldTable:
     """F_w for all non-empty words up to a depth, plus F_ε = id.
 
@@ -196,13 +221,14 @@ class DerivedFieldTable:
 
     # -- independent evaluation route ------------------------------------------
 
-    def values_at(self, x) -> dict[Word, np.ndarray]:
+    def values_at(self, x) -> WordArrays:
         """All F_w(x) by the append/shuffle construction (bottom-up).
 
         F_{w·i}(x) = Σ_k (1/k!) Σ_{(u_1..u_k)} m · D^k f_i(x)(F_{u_1}(x), …),
         with m the shuffle multiplicity.  Independent of the recursion that
         backs ``field``; the two routes agreeing is a library invariant.
-        ``x`` is one point (n,) or a batch (M, n); each value has x's shape.
+        ``x`` is one point (n,) or a batch (M, n); each value has x's shape,
+        and ``array`` is (W, n) or (W, M, n).
         """
         xs, single = as_batch(x, self.system.n)
         d, n, parts = self.system.d, self.system.n, self.system.stacked
@@ -216,20 +242,20 @@ class DerivedFieldTable:
             block = graded_expansion(stacks.__getitem__, vals, expansion_plan(d, level - 1, level - 1), d * n)
             vals[:, start : start + d**level] = block.reshape(len(xs), -1, n)
             start += d**level
-        rows = vals[0] if single else vals.swapaxes(0, 1)
-        return dict(zip(self.words, rows))
+        return WordArrays(d, self.depth, vals[0] if single else vals.swapaxes(0, 1))
 
-    def recursion_values_at(self, x) -> dict[Word, np.ndarray]:
+    def recursion_values_at(self, x) -> WordArrays:
         """All F_w(x) through the smooth-function (prepend) route."""
         xs, single = as_batch(x, self.system.n)
-        out = {w: self._fields[w].values(xs) for w in self.words}
-        return {w: v[0] for w, v in out.items()} if single else out
+        out = np.stack([self._fields[w].values(xs) for w in self.words])
+        return WordArrays(self.system.d, self.depth, out[:, 0] if single else out)
 
     # -- jet stacks -----------------------------------------------------------------
 
-    def jet_stacks(self, x, pmax: int) -> dict[Word, list[np.ndarray]]:
+    def jet_stacks(self, x, pmax: int) -> WordArrays:
         """[D^p F_w(x) for p = 0..pmax] per word, as (n,)*(p+1) arrays, or
-        (M,) + (n,)*(p+1) arrays for a batch x of shape (M, n).
+        (M,) + (n,)*(p+1) arrays for a batch x of shape (M, n); ``array[p]``
+        holds order p for every word, (W,) + that shape.
 
         A polynomial table evaluates the partials ∂^α F_w of every sorted
         multi-index α and word in one compiled monomial sweep and gathers
@@ -239,25 +265,22 @@ class DerivedFieldTable:
         n = self.system.n
         xs, single = as_batch(x, n)
         if not self.polynomial:
-            out = {w: [self._fields[w].deriv_tensors(xs, p) for p in range(pmax + 1)] for w in self.words}
-            return {w: [t[0] for t in ts] for w, ts in out.items()} if single else out
-        orders = [_symmetric_gather(n, p) for p in range(pmax + 1)]
-        alphas = [alpha for order, _ in orders for alpha in order]
-        offsets = np.cumsum([0] + [len(order) for order, _ in orders])
-        sweep = self._stack_cache.get(pmax)
-        if sweep is None:
-            maps = [self._fields[w].derived(alpha).components for alpha in alphas for w in self.words]
-            sweep = MonomialSweep(n, maps)
-            self._stack_cache[pmax] = sweep
-        vals = sweep(xs).reshape(len(xs), len(alphas), len(self.words), n)
-        out = {w: [] for w in self.words}
-        for p, (_, gather) in enumerate(orders):
-            # (M, n^p, W, n) -> (M, W, n, n, …, n): the output slot, then the arguments.
-            full = np.moveaxis(vals[:, gather + offsets[p]], 1, -1)
-            full = full.reshape(full.shape[:3] + (n,) * p)
-            for widx, w in enumerate(self.words):
-                out[w].append(full[0, widx] if single else full[:, widx])
-        return out
+            fields = [self._fields[w] for w in self.words]
+            blocks = [np.stack([f.deriv_tensors(xs, p) for f in fields]) for p in range(pmax + 1)]
+        else:
+            orders = [_symmetric_gather(n, p) for p in range(pmax + 1)]
+            alphas = [alpha for order, _ in orders for alpha in order]
+            offsets = np.cumsum([0] + [len(order) for order, _ in orders])
+            sweep = self._stack_cache.get(pmax)
+            if sweep is None:
+                maps = [self._fields[w].derived(alpha).components for alpha in alphas for w in self.words]
+                sweep = MonomialSweep(n, maps)
+                self._stack_cache[pmax] = sweep
+            vals = sweep(xs).reshape(len(xs), len(alphas), len(self.words), n)
+            # (M, n^p, W, n) -> (W, M, n, n, …, n): the word, the output slot, then the arguments.
+            blocks = [np.moveaxis(vals[:, idx + offsets[p]], (2, 1), (0, -1)) for p, (_, idx) in enumerate(orders)]
+            blocks = [b.reshape(b.shape[:3] + (n,) * p) for p, b in enumerate(blocks)]
+        return WordArrays(self.system.d, self.depth, [b[:, 0] for b in blocks] if single else blocks)
 
 
 def as_batch(x, n: int, what: str = "point") -> tuple[np.ndarray, bool]:
@@ -287,13 +310,13 @@ def davie_step(x, table: DerivedFieldTable, g: GroupTensor, route: str = "shuffl
     append form, "recursion" for the smooth-function route); both sides are
     maintained and tested as equal.
     """
-    if g.level != table.depth:
-        raise ValueError(
-            f"increment level {g.level} does not match table depth {table.depth}"
-        )
+    shape = (table.system.d, table.depth)
+    if (g.dim, g.level) != shape:
+        raise ValueError(f"increment (d, N) = {g.dim, g.level} does not match the table's {shape}")
     values = table.values_at(x) if route == "shuffle" else table.recursion_values_at(x)
-    stacked = np.stack([values[w] for w in words_up_to(g.dim, g.level)])
-    return (g.tensor.array @ stacked.reshape(len(stacked), -1)).reshape(stacked.shape[1:])
+    # A C-ordered (W, M·n) matrix: BLAS sums a transposed view in another order.
+    values = np.ascontiguousarray(values.array)
+    return (g.tensor.array @ values.reshape(len(values), -1)).reshape(values.shape[1:])
 
 
 @dataclass
@@ -360,6 +383,8 @@ def solve_rde(
     partition = np.asarray(partition, dtype=float)
     if partition.ndim != 1 or len(partition) < 1:
         raise ValueError("partition must be a non-empty 1-d time grid")
+    if driver.dim != system.d:
+        raise ValueError("driver dimension must match the number of fields")
     system.require_order(driver.level, "solve_rde")
     if table is None:
         table = derive_fields(system, driver.level)

@@ -39,6 +39,7 @@ from .jets import jet_compose, terminal_flow_jets
 from .rde import (
     DerivedFieldTable,
     VectorFieldSystem,
+    WordArrays,
     as_batch,
     derive_fields,
     solve_rde,
@@ -199,7 +200,7 @@ def _gamma_values_from_oracle(
     table: DerivedFieldTable,
     fn: SmoothFunction,
     x: np.ndarray,
-    f_values: dict[Word, np.ndarray],
+    f_values: WordArrays,
     max_len: int,
 ) -> dict[Word, float] | dict[Word, np.ndarray]:
     """Γ_w fn(x) for all |w| <= max_len from the derivative data of fn.
@@ -210,7 +211,7 @@ def _gamma_values_from_oracle(
     """
     xs, single = as_batch(x, table.system.n)
     words = words_up_to(table.system.d, max_len)
-    values = np.stack([np.reshape(f_values[u], xs.shape) for u in words], axis=1)
+    values = f_values.array[: len(words)].reshape((len(words),) + xs.shape).swapaxes(0, 1)
     out = _gamma_rows(table, lambda k: [fn.deriv_tensors(xs, k)], values, max_len)[:, :, 0]
     return dict(zip(words, out[0].tolist())) if single else dict(zip(words, out.T))
 
@@ -282,8 +283,7 @@ def verify_transport(
     else:
         fns = [(u_oracle(t, x), x[None]) for t in needed_times for x in points]
         u = [np.concatenate([fn.deriv_tensors(x, k) for fn, x in fns]) for k in range(n_gamma + 1)]
-    f_values = table.values_at(points)
-    f = np.tile(np.stack([f_values[w] for w in words], axis=1), (len(needed), 1, 1))
+    f = np.tile(table.values_at(points).array[: len(words)].swapaxes(0, 1), (len(needed), 1, 1))
     gamma = _gamma_rows(table, lambda k: [u[k]], f, n_gamma).reshape(len(needed), len(points), -1).swapaxes(1, 2)
 
     # Backward expansion: Γ_w u_s ≈ Σ_v ⟨W_{st}, e_v⟩ Γ_{wv} u_t, read at t.
@@ -417,6 +417,8 @@ def verify_continuity(
     """
     if not phis:
         raise ValueError("need at least one test function")
+    if driver.dim != fields.d:
+        raise ValueError("driver dimension must match the number of fields")
     n_gamma = driver.hoelder_level
     time_grid = np.asarray(time_grid, dtype=float)
     table = derive_fields(fields, max(driver.level, n_gamma))
@@ -430,8 +432,7 @@ def verify_continuity(
     # needed times in one batch, then summed per time with the weights.
     measures = [rho(t) for t in time_grid[needed].tolist()]
     points = np.concatenate([m.points for m in measures])
-    f_values = table.values_at(points)
-    f = np.stack([f_values[w] for w in words], axis=1)
+    f = table.values_at(points).array[: len(words)].swapaxes(0, 1)
     gamma = _gamma_rows(table, lambda k: [phi.deriv_tensors(points, k) for phi in phis], f, n_gamma)
     weighted = np.concatenate([m.weights for m in measures])[:, None, None] * gamma
     pairings = np.add.reduceat(weighted, np.cumsum([0] + [m.size for m in measures[:-1]]), axis=0)
