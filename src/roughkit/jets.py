@@ -297,17 +297,19 @@ def terminal_flow_jets(
     table: DerivedFieldTable | None = None,
     on_step: Callable[[list[np.ndarray]], None] | None = None,
 ) -> list[np.ndarray]:
-    """Jets D^p X^{s_j, x_m}_T at the common end T of the partitions, for
-    every point x_m of ``x0`` (M, n) and every partition's start s_j:
-    blocks[p] of shape (S, M) + (n,)*(p+1).
+    """Jets D^p X^{s_j, x_m}_{T_j} from each partition's start s_j to its
+    own end T_j, for every point x_m of ``x0`` (M, n): blocks[p] of shape
+    (S, M) + (n,)*(p+1).
 
     All S·M characteristics are composed-jet stepped in one ragged batch,
-    each on its own partition.  The rows are ordered by decreasing cell
-    count and aligned on the end: step k advances the rows (a prefix) whose
-    partition has a k-th cell counted back from the end, each against its
-    own increment.  Only the current jets are kept; ``on_step`` sees them
-    before the first step and after each one.
+    each on its own partition, which need not share an end: the rows are
+    ordered by decreasing cell count, and step k advances the rows (a
+    prefix) whose partition has a k-th cell counted back from its end, each
+    against its own increment.  Only the current jets are kept; ``on_step``
+    sees them before the first step and after each one.
     """
+    if driver.dim != system.d:
+        raise ValueError("driver dimension must match the number of fields")
     xs, _ = as_batch(x0, system.n)
     if table is None:
         table = derive_fields(system, driver.level)
@@ -405,43 +407,33 @@ def partial_davie_check(
     substeps: int = 32,
     anchors: int = 6,
     margin: float = 0.15,
-    method: str = "composed",
 ) -> dict[tuple[int, ...], OrderCheck]:
     """Order check of the flow-derivative Davie expansion.
 
     For dyadically shrinking spans and several window anchors [s, s+span],
     compares the solved flow derivative ∂^α X^{s,x}_{s+span} (jets
-    integrated with ``substeps`` cells per window) against the one-shot
-    expansion Σ ∂^αF_w(x)⟨W_{s,s+span}, e_w⟩, aggregates scale-wise means,
-    and regresses the gap; each α passes iff the slope reaches
-    (N_γ+1)γ − margin.
+    integrated with ``substeps`` cells per window, every window a row of
+    one ``terminal_flow_jets`` batch) against the one-shot expansion
+    Σ ∂^αF_w(x)⟨W_{s,s+span}, e_w⟩, aggregates scale-wise means, and
+    regresses the gap; each α passes iff the slope reaches (N_γ+1)γ − margin.
     """
     alphas = [tuple(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one derivative word")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    jet_order = max(len(a) for a in alphas)
     table = derive_fields(system, driver.level)
-    spans, scale_ids, defects = [], [], []
-    horizon = driver.horizon
-    for m in range(n_spans):
-        span = horizon * 0.5**m
-        starts = np.linspace(0.0, horizon - span, anchors) if span < horizon else np.array([0.0])
-        for s in starts:
-            partition = np.linspace(s, s + span, substeps + 1)
-            jets = solve_flow_jets(
-                x0, system, driver, partition, jet_order,
-                method=method, table=table if method == "composed" else None,
-            )
-            g = driver.increment(float(s), float(s + span))
-            defects.append([
-                float(np.max(np.abs(jets.derivative(a, index=-1) - partial_davie_expansion(table, x0, g, a))))
-                for a in alphas
-            ])
-            spans.append(span)
-            scale_ids.append(m)
+    spans = driver.horizon * 0.5 ** np.arange(n_spans)
+    starts = [np.linspace(0.0, spans[0] - span, anchors) if span < spans[0] else np.zeros(1) for span in spans]
+    scale_ids = np.repeat(np.arange(n_spans), [len(s) for s in starts])
+    lefts = np.concatenate(starts)
+    rights = lefts + spans[scale_ids]
+    partitions = [np.linspace(s, t, substeps + 1) for s, t in zip(lefts, rights)]
+    jets = terminal_flow_jets(x0, system, driver, partitions, max(len(a) for a in alphas), table)
+    g = driver.increments(lefts, rights)
+    solved = np.stack([jets[len(a)][(slice(None), 0, Ellipsis) + tuple(k - 1 for k in a)] for a in alphas], axis=1)
+    expanded = np.stack([partial_davie_expansion(table, x0, g, a) for a in alphas], axis=1)
+    defects = np.abs(solved - expanded).max(axis=2)
     threshold = (driver.hoelder_level + 1) * driver.gamma
     return order_checks(
-        "flow-derivative", alphas, np.array(defects), np.array(spans), np.array(scale_ids),
-        [threshold] * len(alphas), margin,
+        "flow-derivative", alphas, defects, spans[scale_ids], scale_ids, [threshold] * len(alphas), margin,
     )

@@ -15,8 +15,8 @@ residual of the integral formulation can be checked a posteriori through
 the rough integral.
 
 The module also houses the Γ_w differential operators (shuffle formula and
-iterated first-order composition), the Itô identity and graded Itô-Davie
-defect checks, and the multivariate chain-rule entry point.
+iterated first-order composition; test references only), the Itô identity,
+graded Itô-Davie defect checks and the multivariate chain-rule entry point.
 """
 
 from __future__ import annotations
@@ -354,15 +354,10 @@ class RdeSolution:
         assembly (composition, deshuffle weights, integral wiring) rather
         than estimating discretization error.
         """
-        total = self.states[0] + self.integral(lambda i: self.system.fields[i - 1])
-        return float(np.max(np.abs(total - self.states)))
-
-    def integral(self, integrand: Callable[[int], SmoothFunction]) -> np.ndarray:
-        """Σ_i ∫ integrand(i)(X) dW^i on the solve grid: the rough integral
-        of each integrand composed with the lift (order capped at N_γ)."""
         X = self.path.truncate(min(self.path.order, self.driver.hoelder_level))
-        letters = range(1, self.system.d + 1)
-        return sum(rough_integral(compose(integrand(i), X), i, self.times).values for i in letters)
+        fields = enumerate(self.system.fields, 1)
+        total = self.states[0] + sum(rough_integral(compose(f, X), i, self.times).values for i, f in fields)
+        return float(np.max(np.abs(total - self.states)))
 
 
 def solve_rde(
@@ -577,29 +572,30 @@ def ito_check(
 ) -> ItoReport:
     """Change-of-variable checks along an RDE solution.
 
-    (a) exact identity: φ(X_t) − φ(X_0) must match Σ_i ∫ Γ_iφ(X) dW^i
-    computed by rough integration on the solve grid (up to quadrature
-    error); (b) graded defects: Γ_wφ(X_t) minus its Davie expansion from
-    time s has order (N_γ+1−|w|)γ, estimated per word by dyadic regression
-    with scale-wise mean aggregation.
+    (a) exact identity: φ(X_t) − φ(X_0) must match Σ_i ∫ Γ_iφ(X) dW^i by
+    rough integration on the solve grid (up to quadrature error), read from
+    the lift's one-cell expansions; (b) graded defects: Γ_wφ(X_t) minus its
+    Davie expansion from time s has order (N_γ+1−|w|)γ, estimated per word
+    by dyadic regression with scale-wise mean aggregation.
     """
     driver = solution.driver
     n_gamma = driver.hoelder_level
     phi.require_order(n_gamma + 1, "ito_check")
-    lifted = compose(phi, solution.path)  # ⟨e_w*, Φ(X)⟩ = Γ_wφ(X_t)
+    values = compose(phi, solution.path).stacked  # ⟨e_w*, Φ(X)⟩ = Γ_wφ(X_t)
     times = solution.times
-
-    residual = float("nan")
-    if identity:
-        total = solution.integral(lambda i: gamma_operator(Word((i,)), solution.system, phi, solution.table))
-        lhs = lifted.primal - lifted.primal[0]
-        residual = float(np.max(np.abs(lhs - total)))
 
     # Expansions along the flow compose the new letters outermost: the
     # ⟨W_{st}, e_v⟩ coefficient of Γ_wφ(X_t) is Γ_{vw}φ(X_s).
+    residual = float("nan")
+    if identity:
+        # Γ_iφ(X) has Gubinelli derivative Γ_{v·i}φ(X) at v, and u ≠ ε is one v·i: the ε
+        # row less φ(X_a) is the cell's compensated sum Σ_i Σ_v Γ_{v·i}φ(X_a)⟨W_ab, e_{v·i}⟩.
+        cells = driver.increments(times[:-1], times[1:]).tensor.array
+        steps = values[1:, 0] - graded_shift(cells, values[:-1], driver.dim, n_gamma, prepend=True)[:, 0]
+        residual = float(np.max(np.abs(np.cumsum(steps, axis=0))))
+
     i, j, scale_ids = pair_arrays([pairs for _, pairs in dyadic_pairs(len(times), min_pairs=8)])
     incs = driver.increments(times[i], times[j]).tensor.array
-    values = lifted.stacked
     defects = np.abs(values[j] - graded_shift(incs, values[i], driver.dim, n_gamma, prepend=True)).max(axis=2)
     words = words_up_to(driver.dim, n_gamma)
     thresholds = [(n_gamma + 1 - len(w)) * driver.gamma for w in words]

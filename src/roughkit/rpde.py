@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import Word, expansion_plan, graded_shift, words_up_to
+from .errors import NumericalFailure
 from .functions import JetFunction, SmoothFunction, graded_expansion
 from .jets import jet_compose, terminal_flow_jets
 from .rde import (
@@ -432,10 +433,19 @@ def verify_continuity(
     # needed times in one batch, then summed per time with the weights.
     measures = [rho(t) for t in time_grid[needed].tolist()]
     points = np.concatenate([m.points for m in measures])
-    f = table.values_at(points).array[: len(words)].swapaxes(0, 1)
-    gamma = _gamma_rows(table, lambda k: [phi.deriv_tensors(points, k) for phi in phis], f, n_gamma)
+    firsts = np.cumsum([0] + [m.size for m in measures[:-1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = table.values_at(points).array[: len(words)].swapaxes(0, 1)
+        gamma = _gamma_rows(table, lambda k: [phi.deriv_tensors(points, k) for phi in phis], f, n_gamma)
+    # Overflow leaves an infinity; NaN from a NaN-valued test function fails the checks instead.
+    bad = np.flatnonzero(np.isinf(f).any(axis=(1, 2)) | np.isinf(gamma).any(axis=(1, 2)))
+    if len(bad):
+        k = int(np.searchsorted(firsts, bad[0], side="right")) - 1
+        raise NumericalFailure(
+            f"verify_continuity: Γ overflows at t={time_grid[needed[k]]:.6g}, particle {bad[0] - firsts[k]}"
+        )
     weighted = np.concatenate([m.weights for m in measures])[:, None, None] * gamma
-    pairings = np.add.reduceat(weighted, np.cumsum([0] + [m.size for m in measures[:-1]]), axis=0)
+    pairings = np.add.reduceat(weighted, firsts, axis=0)
 
     # Forward expansion: new letters act outermost, so
     # ρ_t(Γ_wφ) ≈ Σ_v ⟨W_{st}, e_v⟩ ρ_s(Γ_{vw}φ), read at s.
