@@ -1,0 +1,175 @@
+"""End-to-end benchmark rows for roughkit, written to ``BENCH_<n>.json``.
+
+    python3 bench/run.py                    # writes the next free BENCH_<n>.json
+    python3 bench/run.py --out BENCH_1.json
+
+Run from the root of a roughkit checkout; the package is imported from
+``src/``.  Every repeat of a row runs in a fresh subprocess with
+single-threaded BLAS and bytecode writing off, as ``perfbench/run.py`` runs
+its set-up, on perfbench's seed-0 fixtures (``perfbench/inputs.py``):
+
+- ``setup.<workload>``: perfbench's set-up split into its parts, a fresh
+  ``import roughkit.cli`` (numpy already loaded) and ``sig`` on the
+  workload's driver;
+- ``cli.<workload>.<job>``: each later CLI job of the workload, timed from
+  a fresh import on (so it includes loading the modules the command runs);
+- ``selftest --fast``;
+- ``tier1``: one run of the tier-1 suite.
+
+Each row records, over REPEATS subprocesses, the median of the in-process
+seconds, the median wall time of the whole subprocess, and the samples.
+The file also records the git SHA and the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC, PERFBENCH = os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")
+WORK = os.path.join(ROOT, ".bench_work")
+REPEATS = 5
+ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", ROUGHKIT_THREADS="1",
+           PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join([SRC, PERFBENCH]))
+
+
+def child(workload: str, job: str, directory: str) -> dict:
+    """One repeat of a row, inside its fresh subprocess: the seconds of
+    each timed part."""
+    import numpy  # noqa: F401  (loaded before the clock, as in perfbench)
+
+    if workload == "selftest":
+        start = time.perf_counter()
+        from roughkit.cli import main
+
+        code = main(["selftest", "--fast"])
+        return {"selftest": time.perf_counter() - start, "exit": code}
+    import inputs
+    import workloads
+
+    spec = workloads.WORKLOADS[workload]
+    jobs = workloads.build_jobs(workload, spec, inputs.write_inputs(spec, 0, os.path.join(directory, "in")),
+                                os.path.join(directory, "out"))
+    start = time.perf_counter()
+    from roughkit.cli import main
+
+    parts = {"import": time.perf_counter() - start}
+    start = time.perf_counter()
+    code = main(jobs[0].argv)
+    parts["sig"] = time.perf_counter() - start
+    if job != "sig":
+        (chosen,) = [j for j in jobs if j.name == job]
+        start = time.perf_counter()
+        code = main(chosen.argv)
+        parts = {job: parts["import"] + time.perf_counter() - start}
+    parts["exit"] = code
+    return parts
+
+
+def repeat(workload: str, job: str) -> list[tuple[dict, float]]:
+    """(parts, subprocess wall seconds) of REPEATS fresh subprocesses."""
+    out = []
+    for k in range(REPEATS):
+        directory = os.path.join(WORK, f"{workload}-{job}-{k}")
+        argv = [sys.executable, os.path.abspath(__file__), "--child", workload, job, directory]
+        start = time.perf_counter()
+        done = subprocess.run(argv, env=ENV, capture_output=True, text=True, check=True, cwd=ROOT)
+        wall = time.perf_counter() - start
+        out.append((json.loads(done.stdout.strip().splitlines()[-1]), wall))
+        shutil.rmtree(directory, ignore_errors=True)
+    return out
+
+
+def row(samples: list[float], walls: list[float], codes: list[int]) -> dict:
+    return {"median_s": statistics.median(samples), "process_median_s": statistics.median(walls),
+            "samples_s": samples, "exit_codes": sorted(set(codes))}
+
+
+def tier1() -> dict:
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          env=dict(ENV, PYTHONPATH=SRC), capture_output=True, text=True, cwd=ROOT)
+    wall = time.perf_counter() - start
+    summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
+    passed = re.search(r"(\d+) passed", summary)
+    return {"median_s": wall, "runs": 1, "passed": int(passed.group(1)) if passed else 0, "summary": summary}
+
+
+def machine() -> dict:
+    import numpy as np
+
+    model = None
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            model = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), None)
+    except OSError:
+        pass
+    return {"cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+            "cpu": model or platform.processor(), "python": platform.python_version(), "numpy": np.__version__}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], capture_output=True, text=True, cwd=ROOT).stdout.strip()
+
+
+def next_bench_file() -> str:
+    n = 1
+    while os.path.exists(os.path.join(ROOT, f"BENCH_{n}.json")):
+        n += 1
+    return os.path.join(ROOT, f"BENCH_{n}.json")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", default=None, help="output file (default: the next free BENCH_<n>.json)")
+    parser.add_argument("--child", nargs=3, metavar=("WORKLOAD", "JOB", "DIR"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(*args.child)))
+        return 0
+    sys.path.insert(0, PERFBENCH)
+    import inputs
+    import workloads
+
+    rows = {}
+    try:
+        for workload in workloads.WORKLOADS:
+            runs = repeat(workload, "sig")
+            walls, codes = [w for _, w in runs], [p["exit"] for p, _ in runs]
+            for part in ("import", "sig"):
+                rows[f"setup.{workload}.{part}"] = row([p[part] for p, _ in runs], walls, codes)
+            spec = workloads.WORKLOADS[workload]
+            files = inputs.write_inputs(spec, 0, os.path.join(WORK, "jobs", "in"))
+            jobs = workloads.build_jobs(workload, spec, files, os.path.join(WORK, "jobs", "out"))
+            for job in jobs[1:]:
+                runs = repeat(workload, job.name)
+                rows[f"cli.{workload}.{job.name}"] = row([p[job.name] for p, _ in runs], [w for _, w in runs],
+                                                         [p["exit"] for p, _ in runs])
+        runs = repeat("selftest", "selftest")
+        rows["selftest --fast"] = row([p["selftest"] for p, _ in runs], [w for _, w in runs],
+                                      [p["exit"] for p, _ in runs])
+        rows["tier1"] = tier1()
+    finally:
+        shutil.rmtree(WORK, ignore_errors=True)
+    result = {"git_sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--", "src")),
+              "machine": machine(), "repeats": REPEATS, "rows": rows}
+    out = args.out or next_bench_file()
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(result, indent=2) + "\n")
+    for name, r in rows.items():
+        print(f"{name:42s} {r['median_s']:9.4f} s")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

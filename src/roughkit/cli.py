@@ -18,7 +18,6 @@ never embed wall-clock data).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -29,24 +28,12 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalFailure
-from .functions import SmoothFunction, function_from_json_dict
-from .rde import VectorFieldSystem, solve_rde, system_from_json_dict
-from .roughpath import GeometricRoughPath, PiecewiseLinearPath, lift_pl, sample_fbm
-from .rpde import (
-    FlowSolutionOracle,
-    ParticleMeasure,
-    TransportProblem,
-    duality_check,
-    push_measure,
-    solve_continuity,
-    solve_partition,
-    solve_transport,
-    verify_continuity,
-    verify_transport,
-)
+from .roughpath import GeometricRoughPath, PiecewiseLinearPath, lift_pl, sample_fbm, solve_partition
 
 
 def _config_hash(payload: dict) -> str:
+    import hashlib
+
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
@@ -65,6 +52,8 @@ def _read_json(path: str) -> dict:
 
 
 def _read_csv_rows(path: str, expected_first: str) -> tuple[list[str], np.ndarray]:
+    """The header and the (rows, columns) data of a CSV: every data row has
+    the header's column count, and every entry is a finite number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -72,8 +61,12 @@ def _read_csv_rows(path: str, expected_first: str) -> tuple[list[str], np.ndarra
     header = [h.strip() for h in lines[0].split(",")]
     if header[0] != expected_first:
         raise ValueError(f"{path}: expected first column {expected_first!r}, got {header[0]!r}")
+    cells = [ln.split(",") for ln in lines[1:]]
+    for k, row in enumerate(cells):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: data row {k + 1} has {len(row)} entries, the header {len(header)}")
     try:
-        rows = np.asarray([[float(x) for x in ln.split(",")] for ln in lines[1:]], dtype=float)
+        rows = np.array([[float(x) for x in row] for row in cells]).reshape(len(cells), len(header))
     except ValueError as e:
         raise ValueError(f"{path}: non-numeric CSV entry ({e})") from e
     finite = np.isfinite(rows).all(axis=-1)
@@ -97,10 +90,14 @@ def _load_driver(path: str) -> GeometricRoughPath:
 
 
 def _load_fields(path: str) -> VectorFieldSystem:
+    from .rde import system_from_json_dict
+
     return _load_json(path, "fields", system_from_json_dict)
 
 
 def _load_phis(path: str) -> list[SmoothFunction]:
+    from .functions import function_from_json_dict
+
     return _load_json(path, "phis", lambda data: [function_from_json_dict(d) for d in data["phis"]])
 
 
@@ -154,20 +151,25 @@ def _cmd_sig(args) -> int:
     if args.path is None and args.fbm_hurst is None:
         raise ValueError("sig needs --path or --fbm-hurst")
     if args.path is not None:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            path = PiecewiseLinearPath.from_csv(fh.read())
+        _, rows = _read_csv_rows(args.path, "t")
+        try:
+            path = PiecewiseLinearPath(times=rows[:, 0], values=rows[:, 1:])
+        except ValueError as e:
+            raise ValueError(f"{args.path}: {e}") from e
     else:
         path = sample_fbm(
             H=args.fbm_hurst, d=args.fbm_dim, knots=args.fbm_knots,
             seed=args.seed, horizon=args.horizon,
         )
     rough = lift_pl(path, gamma=args.gamma, level=args.level)
-    _write_text(args.out, json.dumps(rough.to_json_dict()) + "\n")
+    _write_text(args.out, rough.to_json() + "\n")
     print(f"sig: wrote level-{rough.level} lift of {len(path.times)} knots to {args.out}")
     return 0
 
 
 def _cmd_rde(args) -> int:
+    from .rde import solve_rde
+
     driver = _load_driver(args.driver)
     system = _load_fields(args.fields)
     x0 = _parse_x0(args.x0)
@@ -186,6 +188,9 @@ def _cmd_rde(args) -> int:
 
 
 def _build_problem(args) -> TransportProblem:
+    from .functions import function_from_json_dict
+    from .rpde import TransportProblem
+
     driver = _load_driver(args.driver)
     system = _load_fields(args.fields)
     terminal = _load_json(args.terminal, "function", function_from_json_dict)
@@ -193,6 +198,8 @@ def _build_problem(args) -> TransportProblem:
 
 
 def _cmd_transport(args) -> int:
+    from .rpde import solve_transport
+
     problem = _build_problem(args)
     header, rows = _read_csv_rows(args.query, "s")
     queries = [(float(r[0]), r[1:]) for r in rows]
@@ -206,11 +213,17 @@ def _cmd_transport(args) -> int:
 
 
 def _load_measure(path: str) -> ParticleMeasure:
+    from .rpde import ParticleMeasure
+
     _, rows = _read_csv_rows(path, "w")
+    if not len(rows):
+        raise ValueError(f"{path}: no particles")
     return ParticleMeasure(points=rows[:, 1:], weights=rows[:, 0])
 
 
 def _cmd_continuity(args) -> int:
+    from .rpde import solve_continuity
+
     driver = _load_driver(args.driver)
     system = _load_fields(args.fields)
     mu = _load_measure(args.mu)
@@ -237,6 +250,8 @@ def _report_payload(args, command: str, checks: list[dict], passed: bool) -> dic
 
 
 def _cmd_verify(args) -> int:
+    from .rpde import FlowSolutionOracle, duality_check, push_measure, verify_continuity, verify_transport
+
     if args.target == "transport":
         problem = _build_problem(args)
         oracle = FlowSolutionOracle(problem, mesh=args.mesh, solve_level=args.solve_level)

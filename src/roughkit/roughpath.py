@@ -320,12 +320,7 @@ class GeometricRoughPath:
     # -- serialization ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "level": self.level,
-            "times": [float(t) for t in self.times],
-            "basepoints": [self._tensor(row).to_json_dict() for row in self._stack],
-        }
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeometricRoughPath":
@@ -370,7 +365,26 @@ class GeometricRoughPath:
         return path
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """The rough-path JSON, written from the (K, size) array by word
+        rank: one key prefix per word, the non-zero terms of each basepoint
+        in canonical order, each value by ``repr`` (the bytes ``json.dumps``
+        writes for the per-term dicts).  A non-finite coefficient raises
+        ``NumericalFailure`` naming the first such knot."""
+        finite = np.isfinite(self._stack).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            t = float(self.times[k])
+            raise NumericalFailure(f"the lift at knot {k} (t = {t!r}) has a non-finite coefficient")
+        prefixes = [f'{{"word": {list(w.letters)}, "value": ' for w in words_up_to(self.dim, self.level)]
+        head = f'{{"d": {self.dim}, "level": {self.level}, "terms": ['
+        rows, ranks = np.nonzero(self._stack)
+        terms = [prefixes[i] + repr(v) + "}" for i, v in zip(ranks.tolist(), self._stack[rows, ranks].tolist())]
+        ends = np.cumsum(np.bincount(rows, minlength=len(self._stack))).tolist()
+        basepoints = [head + ", ".join(terms[a:b]) + "]}" for a, b in zip([0] + ends[:-1], ends)]
+        return (
+            f'{{"gamma": {self.gamma!r}, "level": {self.level}, "times": {json.dumps(self.times.tolist())}, '
+            f'"basepoints": [{", ".join(basepoints)}]}}'
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "GeometricRoughPath":
@@ -389,6 +403,27 @@ def lift_pl(path: PiecewiseLinearPath, gamma: float, level: int | None = None) -
         level = hoelder_level(gamma)
     basepoints = _running_products(_segment_exp(np.diff(path.values, axis=0), level).tensor)
     return GeometricRoughPath(gamma=gamma, level=level, times=path.times, basepoints=basepoints, generator=path)
+
+
+def solve_partition(driver: GeometricRoughPath, s: float, t: float, mesh: float) -> np.ndarray:
+    """Uniform mesh points of [s, t] merged with the driver's knots.
+
+    Keeping the knots in the partition makes each cell increment exact for
+    piecewise-linear drivers.
+    """
+    if not 0.0 <= s <= t <= driver.horizon + 1e-12:
+        raise ValueError(f"need 0 <= s <= t <= horizon, got [{s}, {t}]")
+    if mesh <= 0:
+        raise ValueError("mesh must be positive")
+    if t == s:
+        return np.array([s])
+    n_cells = max(1, int(math.ceil((t - s) / mesh - 1e-12)))
+    base = np.linspace(s, t, n_cells + 1)
+    knots = driver.times[(driver.times > s + 1e-12) & (driver.times < t - 1e-12)]
+    merged = np.unique(np.concatenate([base, knots]))
+    # Collapse near-duplicates from the merge.
+    keep = np.concatenate([[True], np.diff(merged) > 1e-12])
+    return merged[keep]
 
 
 def sample_fbm(

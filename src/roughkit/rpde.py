@@ -27,7 +27,6 @@ implemented as a cross-module integration check.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -46,27 +45,7 @@ from .rde import (
     solve_rde,
 )
 from .regression import SLOPE_MARGIN, OrderCheck, dyadic_pairs, order_checks, pair_arrays
-from .roughpath import GeometricRoughPath
-
-def solve_partition(driver: GeometricRoughPath, s: float, t: float, mesh: float) -> np.ndarray:
-    """Uniform mesh points of [s, t] merged with the driver's knots.
-
-    Keeping the knots in the partition makes each cell increment exact for
-    piecewise-linear drivers.
-    """
-    if not 0.0 <= s <= t <= driver.horizon + 1e-12:
-        raise ValueError(f"need 0 <= s <= t <= horizon, got [{s}, {t}]")
-    if mesh <= 0:
-        raise ValueError("mesh must be positive")
-    if t == s:
-        return np.array([s])
-    n_cells = max(1, int(math.ceil((t - s) / mesh - 1e-12)))
-    base = np.linspace(s, t, n_cells + 1)
-    knots = driver.times[(driver.times > s + 1e-12) & (driver.times < t - 1e-12)]
-    merged = np.unique(np.concatenate([base, knots]))
-    # Collapse near-duplicates from the merge.
-    keep = np.concatenate([[True], np.diff(merged) > 1e-12])
-    return merged[keep]
+from .roughpath import GeometricRoughPath, solve_partition
 
 
 @dataclass(frozen=True)
