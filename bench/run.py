@@ -14,7 +14,13 @@ its set-up, on perfbench's seed-0 fixtures (``perfbench/inputs.py``):
 - ``cli.<workload>.<job>``: each later CLI job of the workload, timed from
   a fresh import on (so it includes loading the modules the command runs);
 - ``selftest --fast``;
-- ``tier1``: one run of the tier-1 suite.
+- ``tier1``: one run of the tier-1 suite;
+- ``layer.*``: warm per-call seconds of the sequential Davie path on the
+  ``solve-long`` fixture (trig fields, n = 3, d = 2, N = 3), each the median
+  of LAYER_CALLS calls in its subprocess: ``values_at`` at one point and at
+  the 513 solved states, ``solve_rde`` over the 512 on-grid cells, and the
+  ``graded_expansion`` call ``compose`` makes for one field on the
+  513-point lift that ``rde --residual`` integrates.
 
 Each row records, over REPEATS subprocesses, the median of the in-process
 seconds, the median wall time of the whole subprocess, and the samples.
@@ -38,6 +44,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC, PERFBENCH = os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")
 WORK = os.path.join(ROOT, ".bench_work")
 REPEATS = 5
+LAYER_CALLS = {"values_at.point": 400, "solve_rde.cells": 5, "values_at.513": 40, "graded_expansion.compose": 40}
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", ROUGHKIT_THREADS="1",
            PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join([SRC, PERFBENCH]))
 
@@ -47,6 +54,8 @@ def child(workload: str, job: str, directory: str) -> dict:
     each timed part."""
     import numpy  # noqa: F401  (loaded before the clock, as in perfbench)
 
+    if workload == "layers":
+        return layers(directory)
     if workload == "selftest":
         start = time.perf_counter()
         from roughkit.cli import main
@@ -73,6 +82,54 @@ def child(workload: str, job: str, directory: str) -> dict:
         parts = {job: parts["import"] + time.perf_counter() - start}
     parts["exit"] = code
     return parts
+
+
+def layers(directory: str) -> dict:
+    """Median warm seconds per call of each ``layer.*`` row."""
+    import numpy as np
+
+    import inputs
+    import workloads
+    from roughkit.algebra import expansion_plan, words_up_to
+    from roughkit.functions import graded_expansion
+    from roughkit.rde import derive_fields, solve_rde, system_from_json_dict
+    from roughkit.roughpath import PiecewiseLinearPath, lift_pl, solve_partition
+
+    spec = workloads.WORKLOADS["solve-long"]
+    files = inputs.write_inputs(spec, 0, directory)
+    with open(files["path"], encoding="utf-8") as fh:
+        driver = lift_pl(PiecewiseLinearPath.from_csv(fh.read()), float(workloads.GAMMA))
+    with open(files["fields"], encoding="utf-8") as fh:
+        system = system_from_json_dict(json.load(fh))
+    table = derive_fields(system, driver.level)
+    x0 = np.array([float(v) for v in files["x0"].split(",")])
+    partition = solve_partition(driver, 0.0, driver.horizon, 1.0 / spec["mesh_cells"])
+    solution = solve_rde(x0, system, driver, partition, table=table)
+    X = solution.path.truncate(min(solution.path.order, driver.hoelder_level))  # as fixed_point_residual
+    phi, words = system.fields[0], words_up_to(X.dim, X.order - 1)
+    present = np.array([w in X.coeffs for w in words])
+
+    def compose_kernel():
+        graded_expansion(lambda k: [phi.deriv_tensors(X.primal, k)], X.stacked, expansion_plan(X.dim, 1, X.order - 1),
+                         phi.n_out, present)
+
+    calls = {
+        "values_at.point": lambda: table.values_at(x0),
+        "solve_rde.cells": lambda: solve_rde(x0, system, driver, partition, table=table),
+        "values_at.513": lambda: table.values_at(solution.states),
+        "graded_expansion.compose": compose_kernel,
+    }
+    out = {}
+    for name, call in calls.items():
+        call()
+        seconds = []
+        for _ in range(LAYER_CALLS[name]):
+            start = time.perf_counter()
+            call()
+            seconds.append(time.perf_counter() - start)
+        out[name] = statistics.median(seconds)
+    out["exit"] = 0
+    return out
 
 
 def repeat(workload: str, job: str) -> list[tuple[dict, float]]:
@@ -154,6 +211,9 @@ def main(argv=None) -> int:
                 runs = repeat(workload, job.name)
                 rows[f"cli.{workload}.{job.name}"] = row([p[job.name] for p, _ in runs], [w for _, w in runs],
                                                          [p["exit"] for p, _ in runs])
+        runs = repeat("layers", "layers")
+        for name in LAYER_CALLS:
+            rows[f"layer.{name}"] = row([p[name] for p, _ in runs], [w for _, w in runs], [p["exit"] for p, _ in runs])
         runs = repeat("selftest", "selftest")
         rows["selftest --fast"] = row([p["selftest"] for p, _ in runs], [w for _, w in runs],
                                       [p["exit"] for p, _ in runs])
@@ -166,7 +226,7 @@ def main(argv=None) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(result, indent=2) + "\n")
     for name, r in rows.items():
-        print(f"{name:42s} {r['median_s']:9.4f} s")
+        print(f"{name:42s} {r['median_s']:10.4g} s")
     print(f"wrote {out}")
     return 0
 

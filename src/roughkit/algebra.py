@@ -300,10 +300,12 @@ def _character_table(d: int, level: int):
 
 
 class ExpansionPlan(NamedTuple):
-    """A graded expansion compiled by ``expansion_plan``."""
+    """A plan compiled by ``expansion_plan(*key)``; ``weights`` joins the arities' (None: the identity)."""
 
     targets: int
     arities: tuple[tuple[np.ndarray, np.ndarray], ...]
+    weights: np.ndarray | None
+    key: tuple[int, int, int]
 
 
 @lru_cache(maxsize=None)
@@ -333,7 +335,17 @@ def expansion_plan(d: int, lo: int, hi: int) -> ExpansionPlan:
             weights[t, c] += mult
         parts = np.array(list(columns), dtype=np.intp).reshape(len(columns), k)
         arities.append(_frozen(parts, weights / math.factorial(k)))
-    return ExpansionPlan(len(targets), tuple(arities))
+    weights = np.concatenate([w for _, w in arities], axis=1)
+    weights = None if np.array_equal(weights, np.eye(*weights.shape)) else _frozen(weights)[0]
+    return ExpansionPlan(len(targets), tuple(arities), weights, (d, lo, hi))
+
+
+@lru_cache(maxsize=None)
+def expansion_gathers(d: int, lo: int, hi: int, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per arity k of ``expansion_plan(d, lo, hi)`` and values in R^n, k (P, n^k) arrays of flat
+    indices into a (words·n) row: slot j of V_{u_1}[i_1]·…·V_{u_k}[i_k], (i_1, …, i_k) in C order."""
+    arities = [parts.T for parts, _ in expansion_plan(d, lo, hi).arities]
+    return tuple(_frozen(*(u[:, :, None] * n + np.indices((n,) * len(u)).reshape(len(u), 1, -1))) for u in arities)
 
 
 @lru_cache(maxsize=None)
@@ -578,6 +590,13 @@ def _wrap(dim: int, level: int, arr: np.ndarray) -> TruncatedTensor:
     t = object.__new__(TruncatedTensor)
     _set(t, dim, level, arr)
     return t
+
+
+def _group(dim: int, level: int, arr: np.ndarray) -> "GroupTensor":
+    """A group element around a row of an already-checked batch, unchecked."""
+    g = object.__new__(GroupTensor)
+    object.__setattr__(g, "tensor", _wrap(dim, level, arr))
+    return g
 
 
 def max_coeff_diff(a: TruncatedTensor, b: TruncatedTensor):

@@ -22,13 +22,14 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .errors import NumericalFailure
-from .roughpath import GeometricRoughPath, PiecewiseLinearPath, lift_pl, sample_fbm, solve_partition
+from .roughpath import GeometricRoughPath, PiecewiseLinearPath, lift_pl, parse_csv, sample_fbm, solve_partition
 
 
 def _config_hash(payload: dict) -> str:
@@ -51,28 +52,13 @@ def _read_json(path: str) -> dict:
         raise ValueError(f"{path}: malformed JSON at line {e.lineno}, column {e.colno}") from e
 
 
-def _read_csv_rows(path: str, expected_first: str) -> tuple[list[str], np.ndarray]:
-    """The header and the (rows, columns) data of a CSV: every data row has
-    the header's column count, and every entry is a finite number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty CSV")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header[0] != expected_first:
-        raise ValueError(f"{path}: expected first column {expected_first!r}, got {header[0]!r}")
-    cells = [ln.split(",") for ln in lines[1:]]
-    for k, row in enumerate(cells):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: data row {k + 1} has {len(row)} entries, the header {len(header)}")
+def _read_csv(path: str, parse: Callable):
+    """``parse`` of the text of a CSV file, its errors naming the file."""
     try:
-        rows = np.array([[float(x) for x in row] for row in cells]).reshape(len(cells), len(header))
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
     except ValueError as e:
-        raise ValueError(f"{path}: non-numeric CSV entry ({e})") from e
-    finite = np.isfinite(rows).all(axis=-1)
-    if not finite.all():
-        raise ValueError(f"{path}: data row {int(np.argmin(finite)) + 1} has a non-finite entry")
-    return header, rows
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _load_json(path: str, what: str, build: Callable):
@@ -151,17 +137,14 @@ def _cmd_sig(args) -> int:
     if args.path is None and args.fbm_hurst is None:
         raise ValueError("sig needs --path or --fbm-hurst")
     if args.path is not None:
-        _, rows = _read_csv_rows(args.path, "t")
-        try:
-            path = PiecewiseLinearPath(times=rows[:, 0], values=rows[:, 1:])
-        except ValueError as e:
-            raise ValueError(f"{args.path}: {e}") from e
+        path = _read_csv(args.path, PiecewiseLinearPath.from_csv)
     else:
         path = sample_fbm(
             H=args.fbm_hurst, d=args.fbm_dim, knots=args.fbm_knots,
             seed=args.seed, horizon=args.horizon,
         )
-    rough = lift_pl(path, gamma=args.gamma, level=args.level)
+    with np.errstate(over="ignore", invalid="ignore"):  # to_json names a knot that overflowed
+        rough = lift_pl(path, gamma=args.gamma, level=args.level)
     _write_text(args.out, rough.to_json() + "\n")
     print(f"sig: wrote level-{rough.level} lift of {len(path.times)} knots to {args.out}")
     return 0
@@ -175,10 +158,7 @@ def _cmd_rde(args) -> int:
     x0 = _parse_x0(args.x0)
     partition = solve_partition(driver, 0.0, driver.horizon, args.mesh)
     solution = solve_rde(x0, system, driver, partition)
-    lines = ["t," + ",".join(f"x{j + 1}" for j in range(system.n))]
-    for t, row in zip(solution.times, solution.states):
-        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, PiecewiseLinearPath(solution.times, solution.states).to_csv())
     residual = solution.fixed_point_residual() if args.residual else None
     message = f"rde: solved {len(partition) - 1} cells to {args.out}"
     if residual is not None:
@@ -201,7 +181,7 @@ def _cmd_transport(args) -> int:
     from .rpde import solve_transport
 
     problem = _build_problem(args)
-    header, rows = _read_csv_rows(args.query, "s")
+    header, rows = _read_csv(args.query, lambda text: parse_csv(text, "s"))
     queries = [(float(r[0]), r[1:]) for r in rows]
     values = solve_transport(problem, queries, mesh=args.mesh)
     out_lines = [",".join(header + ["u"])]
@@ -215,7 +195,7 @@ def _cmd_transport(args) -> int:
 def _load_measure(path: str) -> ParticleMeasure:
     from .rpde import ParticleMeasure
 
-    _, rows = _read_csv_rows(path, "w")
+    _, rows = _read_csv(path, lambda text: parse_csv(text, "w"))
     if not len(rows):
         raise ValueError(f"{path}: no particles")
     return ParticleMeasure(points=rows[:, 1:], weights=rows[:, 0])
@@ -258,8 +238,6 @@ def _cmd_verify(args) -> int:
         grid = _parse_grid(args.space_grid)
         time_grid = np.linspace(0.0, problem.horizon, args.time_points)
         report = verify_transport(problem, oracle, grid, time_grid, anchors_per_scale=args.anchors)
-        checks = [c.to_json_dict() for _, c in sorted(report.checks.items(), key=lambda kv: kv[0].sort_key())]
-        passed = report.passed
     elif args.target == "continuity":
         driver = _load_driver(args.driver)
         system = _load_fields(args.fields)
@@ -269,8 +247,6 @@ def _cmd_verify(args) -> int:
         evolution = push_measure(system, driver, mu, time_grid, mesh=args.mesh)
         report = verify_continuity(system, driver, evolution, phis, time_grid,
                                    anchors_per_scale=args.anchors)
-        checks = [c.to_json_dict() for _, c in sorted(report.checks.items(), key=lambda kv: kv[0].sort_key())]
-        passed = report.passed
     elif args.target == "duality":
         problem = _build_problem(args)
         mu = _load_measure(args.mu)
@@ -287,6 +263,9 @@ def _cmd_verify(args) -> int:
         passed = result.max_drift <= tol
     else:
         raise ValueError(f"unknown verify target {args.target!r}")
+    if args.target != "duality":
+        checks = [c.to_json_dict() for _, c in sorted(report.checks.items(), key=lambda kv: kv[0].sort_key())]
+        passed = report.passed
     payload = _report_payload(args, f"verify {args.target}", checks, passed)
     _write_text(args.report, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"verify {args.target}: {'PASS' if passed else 'FAIL'} -> {args.report}")
@@ -339,7 +318,9 @@ report JSON     {"config", "config_hash", "checks": [...], "passed"}
 """
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (ROUGHKIT_THREADS read then)."""
     parser = argparse.ArgumentParser(
         prog="roughkit",
         description=__doc__,

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import ExpansionPlan, Word, deshuffles
+from .algebra import ExpansionPlan, Word, deshuffles, expansion_gathers
 
 Alpha = tuple[int, ...]
 
@@ -103,24 +103,32 @@ class SmoothFunction:
         """
         return self.deriv_tensors(np.asarray(x, dtype=float)[None, :], k)[0]
 
-    def deriv_tensors(self, xs, k: int) -> np.ndarray:
-        """Batched ``deriv_tensor``: shape (m, n_out) + (n_in,)*k.
-
-        The partials of every sorted α of order k come from one
-        ``_sorted_partials`` call; a cached gather fills the symmetric rest.
+    def deriv_tensors(self, xs, k: int | Sequence[int]) -> np.ndarray | list[np.ndarray]:
+        """Batched ``deriv_tensor``: shape (m, n_out) + (n_in,)*k, or the list of
+        them for a sequence of orders k (order 0 is ``values``).  The sorted-α
+        partials come from one ``_sorted_partials`` call (for all orders, one
+        ``_partials_by_order`` call); a cached gather fills the symmetric rest.
         """
         xs = np.asarray(xs, dtype=float)
-        if k == 0:
-            return self.values(xs)
-        _, gather = _symmetric_gather(self.n_in, k)
-        full = self._sorted_partials(xs, k)[:, gather]
-        return full.transpose(0, 2, 1).reshape((len(xs), self.n_out) + (self.n_in,) * k)
+        if isinstance(k, (int, np.integer)):
+            return self.values(xs) if k == 0 else self._full_tensor(self._sorted_partials(xs, k), k)
+        return [self._full_tensor(s, p) for p, s in zip(k, self._partials_by_order(xs, k))]
+
+    def _full_tensor(self, sorted_partials: np.ndarray, k: int) -> np.ndarray:
+        if k < 2:  # one sorted α per entry: the values, or the Jacobian transposed
+            return sorted_partials[:, 0] if k == 0 else sorted_partials.swapaxes(1, 2)
+        full = sorted_partials.take(_symmetric_gather(self.n_in, k)[1], axis=1)
+        return full.swapaxes(1, 2).reshape((len(full), self.n_out) + (self.n_in,) * k)
 
     def _sorted_partials(self, xs: np.ndarray, k: int) -> np.ndarray:
         """∂^α at a batch for every sorted α of order k, in
         ``_symmetric_gather`` order: shape (m, n_alpha, n_out)."""
         alphas, _ = _symmetric_gather(self.n_in, k)
         return np.stack([self.partials(xs, alpha) for alpha in alphas], axis=1)
+
+    def _partials_by_order(self, xs: np.ndarray, orders: Sequence[int]) -> list[np.ndarray]:
+        """``_sorted_partials`` of each order (order 0: ``values``), shared by a family that can."""
+        return [self.values(xs)[:, None] if k == 0 else self._sorted_partials(xs, k) for k in orders]
 
     def apply_deriv(self, x, vectors: Sequence[np.ndarray]) -> np.ndarray:
         """D^k f(x)(v_1, …, v_k) with k = len(vectors)."""
@@ -293,9 +301,10 @@ class TrigPolynomial(SmoothFunction):
     """Sums of sinusoids a·sin(⟨k, x⟩ + φ) per component, with exact
     derivatives of every order (each ∂_j scales by k_j and shifts φ by π/2).
 
-    The partials of one order p at a batch are one phase matmul
-    θ = x·Kᵀ + φ + pπ/2 over all terms, one ``sin`` and one matmul against
-    a per-order amplitude matrix (a·Π_{j∈α} k_j in the term's component).
+    Every order comes from one phase matmul θ = x·Kᵀ + φ over all terms: the
+    shifts cycle sin, cos, −sin, −cos, so order p is sin θ (p even) or cos θ
+    (p odd) times an amplitude matrix ±a·Π_{j∈α} k_j (the sign of p mod 4) in
+    the term's component.  Any set of orders costs one θ, ``sin`` and ``cos``.
     """
 
     def __init__(self, n_in: int, components: Sequence[Sequence[tuple[float, Sequence[float], float]]]):
@@ -308,8 +317,8 @@ class TrigPolynomial(SmoothFunction):
         if any(len(wave) != n_in for _, _, wave, _ in terms):
             raise ValueError("wave vector length must equal n_in")
         self._terms = terms
-        self._waves = np.array([wave for _, _, wave, _ in terms], dtype=float).reshape(len(terms), n_in)
-        self._phases = np.array([phase for _, _, _, phase in terms], dtype=float)
+        self._waves = np.array([wave for _, _, wave, _ in terms], dtype=float).reshape(len(terms), n_in).T.copy()
+        self._phases = np.array([[phase for _, _, _, phase in terms]], dtype=float)
         self._amplitudes: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -320,19 +329,26 @@ class TrigPolynomial(SmoothFunction):
     def cos(cls, n_in: int, amp: float, wave, phase: float = 0.0) -> "TrigPolynomial":
         return cls(n_in, [[(amp, wave, phase + math.pi / 2.0)]])
 
-    def _sorted_partials(self, xs, k: int) -> np.ndarray:
+    def _amplitude(self, k: int) -> np.ndarray:
         amplitudes = self._amplitudes.get(k)
         if amplitudes is None:
             alphas, _ = _symmetric_gather(self.n_in, k)
             amplitudes = np.zeros((len(self._terms), len(alphas), self.n_out))
             for t, (c, a, wave, _) in enumerate(self._terms):
-                for j, alpha in enumerate(alphas):
-                    amplitudes[t, j, c] = math.prod([a] + [wave[letter - 1] for letter in alpha])
+                for j, alpha in enumerate(alphas):  # −sin, −cos for k mod 4 in {2, 3}
+                    amplitudes[t, j, c] = math.prod([-a if k % 4 > 1 else a] + [wave[letter - 1] for letter in alpha])
             amplitudes = amplitudes.reshape(len(self._terms), len(alphas) * self.n_out)
             self._amplitudes[k] = amplitudes
-        xs = np.asarray(xs, dtype=float)
-        theta = xs @ self._waves.T + (self._phases + k * math.pi / 2.0)
-        return (np.sin(theta) @ amplitudes).reshape(len(xs), -1, self.n_out)
+        return amplitudes
+
+    def _partials_by_order(self, xs: np.ndarray, orders: Sequence[int]) -> list[np.ndarray]:
+        theta = xs.dot(self._waves) + self._phases
+        parities = {k % 2 for k in orders}
+        cycle = (np.sin(theta) if 0 in parities else None, np.cos(theta) if 1 in parities else None)
+        return [cycle[k % 2].dot(self._amplitude(k)).reshape(len(xs), -1, self.n_out) for k in orders]
+
+    def _sorted_partials(self, xs, k: int) -> np.ndarray:
+        return self._partials_by_order(np.asarray(xs, dtype=float), (k,))[0]
 
     def values(self, xs) -> np.ndarray:
         return self._sorted_partials(xs, 0)[:, 0]
@@ -456,21 +472,32 @@ def graded_expansion(
     (M, targets, width), width = Σ C_j, with the channels in list order.
     Parts whose word is not ``present`` are zero: their terms are skipped,
     and an arity left with no terms never calls ``tensors``.
+
+    Per arity, one ``take`` per slot by the plan's ``expansion_gathers`` and
+    their product give every term's V_{u_1} ⊗ … ⊗ V_{u_k}, one batched matmul
+    contracts them with D^kφ, and one matmul with ``plan.weights`` sums them.
     """
-    out = np.zeros((len(values), plan.targets, width))
-    for parts, weights in plan.arities:
+    m, n = len(values), values.shape[2]
+    rows = values.reshape(m, values.shape[1] * n)
+    terms, weights = [], []
+    for (parts, w), gather in zip(plan.arities, expansion_gathers(*plan.key, n)):
         if present is not None:
             keep = present[parts].all(axis=1)
             if not keep.any():
                 continue
-            parts, weights = parts[keep], weights[:, keep]
-        # The outer product V_{u_1} ⊗ … ⊗ V_{u_k} per term, (M, P, n^k).
-        args = values[:, parts[:, 0]]
-        for j in range(1, parts.shape[1]):
-            args = (args[..., None] * values[:, parts[:, j], None, :]).reshape(args.shape[:2] + (-1,))
-        terms = [args @ t.reshape(t.shape[:2] + (-1,)).swapaxes(1, 2) for t in tensors(parts.shape[1])]
-        out += weights @ (terms[0] if len(terms) == 1 else np.concatenate(terms, axis=2))
-    return out
+            w, gather = w[:, keep], [slot[keep] for slot in gather]
+        products = reduce(np.multiply, [rows.take(slot, axis=1) for slot in gather])
+        derivs = [t.reshape(m, t.shape[1], products.shape[2]) for t in tensors(len(gather))]
+        terms.append(products @ _joined(derivs, 1).swapaxes(1, 2))
+        weights.append(w)
+    if not terms:
+        return np.zeros((m, plan.targets, width))
+    weights, terms = plan.weights if present is None else np.concatenate(weights, axis=1), _joined(terms, 1)
+    return terms if weights is None else weights @ terms
+
+
+def _joined(blocks: list[np.ndarray], axis: int) -> np.ndarray:
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=axis)
 
 
 def compose_partial(

@@ -158,9 +158,7 @@ class JetVectorField(SmoothFunction):
     def value(self, z) -> np.ndarray:
         blocks = self.space.unpack(z)
         x = blocks[0]
-        stack = [self.field.value(x)]
-        for q in range(1, self.space.jet_order + 1):
-            stack.append(self.field.deriv_tensor(x, q))
+        stack = [t[0] for t in self.field.deriv_tensors(x[None], range(self.space.jet_order + 1))]
         out = [stack[0]]
         for p in range(1, self.space.jet_order + 1):
             out.append(jet_apply(stack, blocks, p))

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, GroupTensor, Word, _wrap, deshuffles, expansion_plan, graded_shift, words_up_to
+from .algebra import EMPTY_WORD, GroupTensor, Word, _group, deshuffles, expansion_plan, graded_shift, words_up_to
 from .controlled import ControlledPath, compose, rough_integral
 from .errors import NumericalFailure
 from .functions import (
@@ -228,20 +228,21 @@ class DerivedFieldTable:
         with m the shuffle multiplicity.  Independent of the recursion that
         backs ``field``; the two routes agreeing is a library invariant.
         ``x`` is one point (n,) or a batch (M, n); each value has x's shape,
-        and ``array`` is (W, n) or (W, M, n).
+        and ``array`` is (W, n) or (W, M, n).  Each ``stacked`` field part gives
+        orders 0..depth−1 in one ``deriv_tensors`` call, and each level is one
+        ``graded_expansion``.
         """
         xs, single = as_batch(x, self.system.n)
-        d, n, parts = self.system.d, self.system.n, self.system.stacked
-        vals = np.empty((len(xs), len(self.words), n))
-        vals[:, 0] = xs
-        vals[:, 1 : d + 1] = np.concatenate([f.values(xs) for f in parts], axis=1).reshape(len(xs), d, n)
-        stacks = {k: [f.deriv_tensors(xs, k) for f in parts] for k in range(1, self.depth)}
-        start = d + 1
-        for level in range(2, self.depth + 1):
-            # Heads h of length level−1 by field letter i: F_{h·i} in canonical order.
-            block = graded_expansion(stacks.__getitem__, vals, expansion_plan(d, level - 1, level - 1), d * n)
-            vals[:, start : start + d**level] = block.reshape(len(xs), -1, n)
-            start += d**level
+        d, n, m = self.system.d, self.system.n, len(xs)
+        orders = list(zip(*(f.deriv_tensors(xs, range(self.depth)) for f in self.system.stacked)))
+        # (M, words·n): F_w(x) for the words built so far, in canonical order.
+        rows = np.concatenate((xs,) + orders[0], axis=1)
+        for level in range(1, self.depth):
+            # Heads h of length level by field letter i: F_{h·i} in canonical order.
+            plan = expansion_plan(d, level, level)
+            block = graded_expansion(orders.__getitem__, rows.reshape(m, -1, n), plan, d * n)
+            rows = np.concatenate([rows, block.reshape(m, -1)], axis=1)
+        vals = rows.reshape(m, -1, n)
         return WordArrays(d, self.depth, vals[0] if single else vals.swapaxes(0, 1))
 
     def recursion_values_at(self, x) -> WordArrays:
@@ -260,13 +261,13 @@ class DerivedFieldTable:
         A polynomial table evaluates the partials ∂^α F_w of every sorted
         multi-index α and word in one compiled monomial sweep and gathers
         them into the full symmetric tensors by a precomputed index; a
-        generic table takes each word's ``deriv_tensors``.
+        generic table takes each word's orders from one ``deriv_tensors``.
         """
         n = self.system.n
         xs, single = as_batch(x, n)
         if not self.polynomial:
-            fields = [self._fields[w] for w in self.words]
-            blocks = [np.stack([f.deriv_tensors(xs, p) for f in fields]) for p in range(pmax + 1)]
+            jets = [self._fields[w].deriv_tensors(xs, range(pmax + 1)) for w in self.words]
+            blocks = [np.stack(orders) for orders in zip(*jets)]
         else:
             orders = [_symmetric_gather(n, p) for p in range(pmax + 1)]
             alphas = [alpha for order, _ in orders for alpha in order]
@@ -287,7 +288,7 @@ def as_batch(x, n: int, what: str = "point") -> tuple[np.ndarray, bool]:
     """x as an (M, n) batch of points, and whether it was a single point."""
     x = np.asarray(x, dtype=float)
     single = x.ndim <= 1
-    xs = np.atleast_1d(x)[None, :] if single else x
+    xs = x.reshape(1, -1) if single else x
     if xs.ndim != 2 or xs.shape[1] != n:
         raise ValueError(f"{what} must lie in R^{n} (shape ({n},) or (M, {n})), got shape {x.shape}")
     return xs, single
@@ -391,10 +392,9 @@ def solve_rde(
     with np.errstate(invalid="ignore", over="ignore"):
         cells = driver.increments(partition[:-1], partition[1:]).tensor.array
         for p, inc in enumerate(cells):
-            xs = davie_step(xs, table, GroupTensor(_wrap(driver.dim, driver.level, inc)))
-            finite = np.isfinite(xs).all(axis=1)
-            if not finite.all():
-                row = "" if single else f", row {int(np.argmin(finite))}"
+            xs = davie_step(xs, table, _group(driver.dim, driver.level, inc))
+            if not np.isfinite(xs).all():
+                row = "" if single else f", row {int(np.argmin(np.isfinite(xs).all(axis=1)))}"
                 raise NumericalFailure(
                     f"solve_rde: state blew up on cell [{partition[p]:.6g}, "
                     f"{partition[p + 1]:.6g}] (index {p}){row}"

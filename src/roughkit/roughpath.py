@@ -14,7 +14,6 @@ Also provides fractional Brownian driver sampling with exact covariance
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -94,21 +93,36 @@ class PiecewiseLinearPath:
         return out
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t," + ",".join(f"x{j+1}" for j in range(self.dim)) + "\n")
-        for t, row in zip(self.times, self.values):
-            buf.write(",".join([repr(float(t))] + [repr(float(v)) for v in row]) + "\n")
-        return buf.getvalue()
+        header = "t," + ",".join(f"x{j+1}" for j in range(self.dim))
+        rows = np.column_stack([self.times, self.values]).tolist()
+        return "\n".join([header] + [",".join(map(repr, r)) for r in rows]) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "PiecewiseLinearPath":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        header = [h.strip() for h in lines[0].split(",")]
-        if header[0] != "t":
-            raise ValueError("path CSV must start with a 't' column")
-        rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
-        arr = np.asarray(rows, dtype=float)
-        return cls(times=arr[:, 0], values=arr[:, 1:])
+        _, rows = parse_csv(text, "t")
+        return cls(times=rows[:, 0], values=rows[:, 1:])
+
+
+def parse_csv(text: str, first: str) -> tuple[list[str], np.ndarray]:
+    """The header and the (rows, columns) data of CSV text whose first column
+    is ``first``: each data row has the header's width, all finite numbers."""
+    cells = [ln.strip().split(",") for ln in text.split("\n") if ln.strip()]
+    if not cells:
+        raise ValueError("empty CSV")
+    header = [h.strip() for h in cells.pop(0)]
+    if header[0] != first:
+        raise ValueError(f"expected first column {first!r}, got {header[0]!r}")
+    for k, row in enumerate(cells, 1):
+        if len(row) != len(header):
+            raise ValueError(f"data row {k} has {len(row)} entries, the header {len(header)}")
+    try:
+        rows = np.array([[float(x) for x in row] for row in cells]).reshape(len(cells), len(header))
+    except ValueError as e:
+        raise ValueError(f"non-numeric CSV entry ({e})") from e
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if len(bad):
+        raise ValueError(f"data row {bad[0] + 1} has a non-finite entry")
+    return header, rows
 
 
 def _segment_exp(delta: np.ndarray, level: int) -> GroupTensor:

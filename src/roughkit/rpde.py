@@ -138,7 +138,7 @@ class FlowSolutionOracle:
         partitions = [solve_partition(self.solve_driver, float(s), problem.horizon, self.mesh) for s in times]
         flow = terminal_flow_jets(xs, problem.fields, self.solve_driver, partitions, self.jet_order, self.table)
         rows = [b.reshape((-1,) + b.shape[2:]) for b in flow]
-        outer = [problem.terminal.deriv_tensors(rows[0], p) for p in range(self.jet_order + 1)]
+        outer = problem.terminal.deriv_tensors(rows[0], range(self.jet_order + 1))
         return [b[:, 0].reshape((len(partitions), len(xs)) + b.shape[2:]) for b in jet_compose(outer, rows)]
 
     def __call__(self, s: float, x) -> JetFunction | list[JetFunction]:
@@ -262,7 +262,7 @@ def verify_transport(
         u = [b.reshape((len(needed) * len(points), 1) + b.shape[2:]) for b in u_oracle.jets(needed_times, points)]
     else:
         fns = [(u_oracle(t, x), x[None]) for t in needed_times for x in points]
-        u = [np.concatenate([fn.deriv_tensors(x, k) for fn, x in fns]) for k in range(n_gamma + 1)]
+        u = [np.concatenate(orders) for orders in zip(*(fn.deriv_tensors(x, range(n_gamma + 1)) for fn, x in fns))]
     f = np.tile(table.values_at(points).array[: len(words)].swapaxes(0, 1), (len(needed), 1, 1))
     gamma = _gamma_rows(table, lambda k: [u[k]], f, n_gamma).reshape(len(needed), len(points), -1).swapaxes(1, 2)
 
