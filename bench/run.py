@@ -18,9 +18,11 @@ its set-up, on perfbench's seed-0 fixtures (``perfbench/inputs.py``):
 - ``layer.*``: warm per-call seconds of the sequential Davie path on the
   ``solve-long`` fixture (trig fields, n = 3, d = 2, N = 3), each the median
   of LAYER_CALLS calls in its subprocess: ``values_at`` at one point and at
-  the 513 solved states, ``solve_rde`` over the 512 on-grid cells, and the
+  the 513 solved states, ``solve_rde`` over the 512 on-grid cells, the
   ``graded_expansion`` call ``compose`` makes for one field on the
-  513-point lift that ``rde --residual`` integrates.
+  513-point lift that ``rde --residual`` integrates, and the whole
+  ``fixed_point_residual`` of that job on a fresh ``RdeSolution`` per call,
+  so that the cached controlled lift ``path`` is rebuilt each time.
 
 Each row records, over REPEATS subprocesses, the median of the in-process
 seconds, the median wall time of the whole subprocess, and the samples.
@@ -44,7 +46,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC, PERFBENCH = os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")
 WORK = os.path.join(ROOT, ".bench_work")
 REPEATS = 5
-LAYER_CALLS = {"values_at.point": 400, "solve_rde.cells": 5, "values_at.513": 40, "graded_expansion.compose": 40}
+LAYER_CALLS = {"values_at.point": 400, "solve_rde.cells": 5, "values_at.513": 40, "graded_expansion.compose": 40,
+               "fixed_point_residual": 40}
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", ROUGHKIT_THREADS="1",
            PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join([SRC, PERFBENCH]))
 
@@ -86,11 +89,13 @@ def child(workload: str, job: str, directory: str) -> dict:
 
 def layers(directory: str) -> dict:
     """Median warm seconds per call of each ``layer.*`` row."""
+    import dataclasses
+
     import numpy as np
 
     import inputs
     import workloads
-    from roughkit.algebra import expansion_plan, words_up_to
+    from roughkit.algebra import expansion_plan
     from roughkit.functions import graded_expansion
     from roughkit.rde import derive_fields, solve_rde, system_from_json_dict
     from roughkit.roughpath import PiecewiseLinearPath, lift_pl, solve_partition
@@ -106,8 +111,7 @@ def layers(directory: str) -> dict:
     partition = solve_partition(driver, 0.0, driver.horizon, 1.0 / spec["mesh_cells"])
     solution = solve_rde(x0, system, driver, partition, table=table)
     X = solution.path.truncate(min(solution.path.order, driver.hoelder_level))  # as fixed_point_residual
-    phi, words = system.fields[0], words_up_to(X.dim, X.order - 1)
-    present = np.array([w in X.coeffs for w in words])
+    phi, present = system.fields[0], X.stacked.any(axis=(0, 2))
 
     def compose_kernel():
         graded_expansion(lambda k: [phi.deriv_tensors(X.primal, k)], X.stacked, expansion_plan(X.dim, 1, X.order - 1),
@@ -118,6 +122,7 @@ def layers(directory: str) -> dict:
         "solve_rde.cells": lambda: solve_rde(x0, system, driver, partition, table=table),
         "values_at.513": lambda: table.values_at(solution.states),
         "graded_expansion.compose": compose_kernel,
+        "fixed_point_residual": lambda: dataclasses.replace(solution).fixed_point_residual(),
     }
     out = {}
     for name, call in calls.items():

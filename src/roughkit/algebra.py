@@ -335,7 +335,7 @@ def expansion_plan(d: int, lo: int, hi: int) -> ExpansionPlan:
             weights[t, c] += mult
         parts = np.array(list(columns), dtype=np.intp).reshape(len(columns), k)
         arities.append(_frozen(parts, weights / math.factorial(k)))
-    weights = np.concatenate([w for _, w in arities], axis=1)
+    weights = np.concatenate([w for _, w in arities] or [np.zeros((0, 0))], axis=1)
     weights = None if np.array_equal(weights, np.eye(*weights.shape)) else _frozen(weights)[0]
     return ExpansionPlan(len(targets), tuple(arities), weights, (d, lo, hi))
 

@@ -27,7 +27,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, Word, expansion_plan, graded_shift, shift_table, words_up_to
+from .algebra import EMPTY_WORD, Word, _letter_index, expansion_plan, graded_shift, shift_table, words_up_to
 from .functions import SmoothFunction, graded_expansion
 from .regression import SLOPE_MARGIN, OrderCheck, dyadic_pairs, order_checks, pair_arrays
 from .roughpath import GeometricRoughPath, grid_index
@@ -36,9 +36,11 @@ from .roughpath import GeometricRoughPath, grid_index
 class ControlledPath:
     """Sampled path of graded coefficient vectors above a rough path.
 
-    coeffs maps words of length <= order−1 to arrays of shape
-    (len(times), width); absent words are identically zero.  The primal
-    trace is the empty-word coefficient.
+    ``stacked`` is one read-only (len(times), W, width) array over the W
+    words of length <= order−1 in canonical order, given as such or as a
+    word → (len(times), width) mapping whose absent words are zero.
+    ``coeffs`` maps the words whose slice is not identically zero to their
+    views, in canonical order; the primal trace is the empty-word slice.
     """
 
     def __init__(
@@ -47,9 +49,9 @@ class ControlledPath:
         order: int,
         width: int,
         times: np.ndarray,
-        coeffs: Mapping[Word, np.ndarray],
+        coeffs: np.ndarray | Mapping[Word, np.ndarray],
     ):
-        n_gamma = reference.hoelder_level
+        n_gamma, d = reference.hoelder_level, reference.dim
         if not 1 <= order <= n_gamma + 1:
             raise ValueError(
                 f"controlled order must satisfy 1 <= N <= N_γ+1 = {n_gamma + 1}, got {order}"
@@ -59,25 +61,33 @@ class ControlledPath:
             raise ValueError("need a non-empty time grid")
         if np.any(np.diff(times) <= 0):
             raise ValueError("controlled-path times must increase strictly")
-        clean: dict[Word, np.ndarray] = {}
-        for w, arr in coeffs.items():
-            if len(w) > order - 1:
-                raise ValueError(f"coefficient word {w} exceeds order {order} - 1")
-            arr = np.asarray(arr, dtype=float)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            if arr.shape != (len(times), width):
-                raise ValueError(
-                    f"coefficient array for {w} has shape {arr.shape}, "
-                    f"expected {(len(times), width)}"
-                )
-            if np.any(arr != 0.0):
-                clean[w] = arr
+        shape = (len(times), len(words_up_to(d, order - 1)), width)
+        if isinstance(coeffs, Mapping):
+            stacked, index = np.zeros(shape), _letter_index(d, order - 1)
+            for w, arr in coeffs.items():
+                if len(w) > order - 1:
+                    raise ValueError(f"coefficient word {w} exceeds order {order} - 1")
+                if w.max_letter > d:
+                    raise ValueError(f"coefficient word {w} has a letter beyond d = {d}")
+                arr = np.asarray(arr, dtype=float)
+                if arr.ndim == 1:
+                    arr = arr[:, None]
+                if arr.shape != (len(times), width):
+                    raise ValueError(
+                        f"coefficient array for {w} has shape {arr.shape}, "
+                        f"expected {(len(times), width)}"
+                    )
+                stacked[:, index[w.letters]] = arr
+        else:
+            stacked = np.asarray(coeffs, dtype=float).view()
+            if stacked.shape != shape:
+                raise ValueError(f"coefficient array has shape {stacked.shape}, expected {shape}")
+        stacked.setflags(write=False)
         self.reference = reference
         self.order = int(order)
         self.width = int(width)
         self.times = times
-        self.coeffs = clean
+        self.stacked = stacked
 
     @property
     def dim(self) -> int:
@@ -85,19 +95,16 @@ class ControlledPath:
 
     @property
     def primal(self) -> np.ndarray:
-        return self.coeff(EMPTY_WORD)
-
-    def coeff(self, w: Word) -> np.ndarray:
-        arr = self.coeffs.get(w)
-        if arr is None:
-            return np.zeros((len(self.times), self.width))
-        return arr
+        return self.stacked[:, 0]
 
     @cached_property
-    def stacked(self) -> np.ndarray:
-        """All coefficients as one (len(times), words, width) array over
-        the words of length <= order−1 in canonical order."""
-        return np.stack([self.coeff(w) for w in words_up_to(self.dim, self.order - 1)], axis=1)
+    def coeffs(self) -> dict[Word, np.ndarray]:
+        words = words_up_to(self.dim, self.order - 1)
+        return {words[i]: self.stacked[:, i] for i in np.flatnonzero(self.stacked.any(axis=(0, 2)))}
+
+    def coeff(self, w: Word) -> np.ndarray:
+        i = _letter_index(self.dim, self.order - 1).get(w.letters)
+        return np.zeros((len(self.times), self.width)) if i is None else self.stacked[:, i]
 
     def index_of(self, t):
         """Grid index of a time, or an index array for an array of times."""
@@ -110,17 +117,11 @@ class ControlledPath:
         """Forget coefficients of order >= the new (smaller) order."""
         if order > self.order:
             raise ValueError("truncate can only lower the order")
-        kept = {w: a for w, a in self.coeffs.items() if len(w) <= order - 1}
+        kept = self.stacked[:, : len(words_up_to(self.dim, order - 1))]
         return ControlledPath(self.reference, order, self.width, self.times, kept)
 
     def restrict(self, indices: np.ndarray) -> "ControlledPath":
-        return ControlledPath(
-            self.reference,
-            self.order,
-            self.width,
-            self.times[indices],
-            {w: a[indices] for w, a in self.coeffs.items()},
-        )
+        return ControlledPath(self.reference, self.order, self.width, self.times[indices], self.stacked[indices])
 
     # -- linear structure (same reference and grid) ------------------------------
 
@@ -129,38 +130,23 @@ class ControlledPath:
             raise ValueError("can only add controlled paths over the same reference and order")
         if not np.array_equal(self.times, other.times):
             raise ValueError("controlled-path grids differ")
-        words = set(self.coeffs) | set(other.coeffs)
-        return ControlledPath(
-            self.reference,
-            self.order,
-            self.width,
-            self.times,
-            {w: self.coeff(w) + other.coeff(w) for w in words},
-        )
+        return ControlledPath(self.reference, self.order, self.width, self.times, self.stacked + other.stacked)
 
     def __mul__(self, scalar: float) -> "ControlledPath":
-        scalar = float(scalar)
-        return ControlledPath(
-            self.reference,
-            self.order,
-            self.width,
-            self.times,
-            {w: scalar * a for w, a in self.coeffs.items()},
-        )
+        return ControlledPath(self.reference, self.order, self.width, self.times, float(scalar) * self.stacked)
 
     __rmul__ = __mul__
 
     # -- serialization -------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        items = sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
         return {
             "order": self.order,
             "width": self.width,
             "times": [float(t) for t in self.times],
             "coeffs": [
                 {"word": list(w.letters), "values": [[float(v) for v in row] for row in arr]}
-                for w, arr in items
+                for w, arr in self.coeffs.items()
             ],
         }
 
@@ -294,16 +280,11 @@ def compose(phi: SmoothFunction, X: ControlledPath) -> ControlledPath:
         raise ValueError(f"φ expects {phi.n_in} inputs, controlled path has width {X.width}")
     phi.require_order(X.order, "compose")
     xs = X.primal
-    n = X.order
-    out: dict[Word, np.ndarray] = {EMPTY_WORD: phi.values(xs)}
-    words = words_up_to(X.dim, n - 1)
-    present = np.array([w in X.coeffs for w in words])
-    plan = expansion_plan(X.dim, 1, n - 1)
-    coeffs = graded_expansion(lambda k: [phi.deriv_tensors(xs, k)], X.stacked, plan, phi.n_out, present)
-    for w, acc in zip(words[1:], coeffs.swapaxes(0, 1)):
-        if np.any(acc != 0.0):
-            out[w] = acc
-    return ControlledPath(X.reference, n, phi.n_out, X.times, out)
+    plan = expansion_plan(X.dim, 1, X.order - 1)
+    present = X.stacked.any(axis=(0, 2))
+    block = graded_expansion(lambda k: [phi.deriv_tensors(xs, k)], X.stacked, plan, phi.n_out, present)
+    stacked = np.concatenate([phi.values(xs)[:, None], block], axis=1)
+    return ControlledPath(X.reference, X.order, phi.n_out, X.times, stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +318,14 @@ def rough_integral(X: ControlledPath, letter: int, partition) -> RoughIntegralRe
     if partition.ndim != 1 or len(partition) < 2:
         raise ValueError("partition must contain at least two times")
     idx = X.index_of(partition)
-    tail = Word((letter,))
     # ⟨W_{ab}, e_{w·letter}⟩ for every cell and word, against ⟨e_w*, X_a⟩.
     words = words_up_to(reference.dim, n_gamma - 1)
+    rows = shift_table(reference.dim, n_gamma, False)[: len(words), letter]
     incs = reference.increments(partition[:-1], partition[1:]).tensor.array
-    cells = incs[:, shift_table(reference.dim, n_gamma, False)[: len(words), letter]]
-    coeffs = X.stacked[idx[:-1], : len(words)]
+    coeffs = X.stacked[idx, : len(words)]
     values = np.zeros((len(partition), X.width))
-    np.cumsum(np.einsum("cw,cwk->ck", cells, coeffs), axis=0, out=values[1:])
-    lift_coeffs: dict[Word, np.ndarray] = {EMPTY_WORD: values}
-    for w, arr in X.coeffs.items():
-        if len(w) <= n_gamma - 1:
-            lift_coeffs[w + tail] = arr[idx]
-    lift = ControlledPath(reference, n_gamma + 1, X.width, partition, lift_coeffs)
+    np.cumsum(np.einsum("cw,cwk->ck", incs[:, rows], coeffs[:-1]), axis=0, out=values[1:])
+    stacked = np.zeros((len(partition), len(words_up_to(reference.dim, n_gamma)), X.width))
+    stacked[:, 0], stacked[:, rows] = values, coeffs
+    lift = ControlledPath(reference, n_gamma + 1, X.width, partition, stacked)
     return RoughIntegralResult(values=values, lift=lift)

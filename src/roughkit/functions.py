@@ -345,7 +345,9 @@ class TrigPolynomial(SmoothFunction):
         theta = xs.dot(self._waves) + self._phases
         parities = {k % 2 for k in orders}
         cycle = (np.sin(theta) if 0 in parities else None, np.cos(theta) if 1 in parities else None)
-        return [cycle[k % 2].dot(self._amplitude(k)).reshape(len(xs), -1, self.n_out) for k in orders]
+        # An explicit α count: the batch axis may be empty.
+        shapes = [(len(xs), len(_symmetric_gather(self.n_in, k)[0]), self.n_out) for k in orders]
+        return [cycle[k % 2].dot(self._amplitude(k)).reshape(shape) for k, shape in zip(orders, shapes)]
 
     def _sorted_partials(self, xs, k: int) -> np.ndarray:
         return self._partials_by_order(np.asarray(xs, dtype=float), (k,))[0]

@@ -25,12 +25,13 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, GroupTensor, Word, _group, deshuffles, expansion_plan, graded_shift, words_up_to
+from .algebra import EMPTY_WORD, GroupTensor, Word, deshuffles, expansion_plan, graded_shift, words_up_to
+from .algebra import _group, _letter_index
 from .controlled import ControlledPath, compose, rough_integral
 from .errors import NumericalFailure
 from .functions import (
@@ -157,21 +158,18 @@ def _poly_derived(parent: PolynomialFunction, direction: PolynomialFunction) -> 
     return PolynomialFunction(parent.n_in, comps)
 
 
-@lru_cache(maxsize=None)
-def _word_rows(d: int, depth: int) -> dict[Word, int]:
-    return {w: i for i, w in enumerate(words_up_to(d, depth))}
-
-
 class WordArrays(Mapping):
     """A read-only word-keyed view of dense arrays whose leading axis runs
     over ``words_up_to(d, depth)``: ``v[w]`` is row w of ``array``, or the
     list of row w of each array when ``array`` is a list (one per order)."""
 
     def __init__(self, d: int, depth: int, array: np.ndarray | list[np.ndarray]):
-        self.words, self.array, self._rows = words_up_to(d, depth), array, _word_rows(d, depth)
+        self.words, self.array, self._rows = words_up_to(d, depth), array, _letter_index(d, depth)
 
     def __getitem__(self, w: Word):
-        i = self._rows[w]
+        if not isinstance(w, Word):
+            raise KeyError(w)
+        i = self._rows[w.letters]
         return [a[i] for a in self.array] if isinstance(self.array, list) else self.array[i]
 
     def __iter__(self):
@@ -227,7 +225,7 @@ class DerivedFieldTable:
         F_{w·i}(x) = Σ_k (1/k!) Σ_{(u_1..u_k)} m · D^k f_i(x)(F_{u_1}(x), …),
         with m the shuffle multiplicity.  Independent of the recursion that
         backs ``field``; the two routes agreeing is a library invariant.
-        ``x`` is one point (n,) or a batch (M, n); each value has x's shape,
+        ``x`` is one point (n,) or a batch (M, n), M >= 0; each value has x's shape,
         and ``array`` is (W, n) or (W, M, n).  Each ``stacked`` field part gives
         orders 0..depth−1 in one ``deriv_tensors`` call, and each level is one
         ``graded_expansion``.
@@ -240,9 +238,9 @@ class DerivedFieldTable:
         for level in range(1, self.depth):
             # Heads h of length level by field letter i: F_{h·i} in canonical order.
             plan = expansion_plan(d, level, level)
-            block = graded_expansion(orders.__getitem__, rows.reshape(m, -1, n), plan, d * n)
-            rows = np.concatenate([rows, block.reshape(m, -1)], axis=1)
-        vals = rows.reshape(m, -1, n)
+            block = graded_expansion(orders.__getitem__, rows.reshape(m, rows.shape[1] // n, n), plan, d * n)
+            rows = np.concatenate([rows, block.reshape(m, block.shape[1] * d * n)], axis=1)
+        vals = rows.reshape(m, rows.shape[1] // n, n)
         return WordArrays(d, self.depth, vals[0] if single else vals.swapaxes(0, 1))
 
     def recursion_values_at(self, x) -> WordArrays:
@@ -317,7 +315,7 @@ def davie_step(x, table: DerivedFieldTable, g: GroupTensor, route: str = "shuffl
     values = table.values_at(x) if route == "shuffle" else table.recursion_values_at(x)
     # A C-ordered (W, M·n) matrix: BLAS sums a transposed view in another order.
     values = np.ascontiguousarray(values.array)
-    return (g.tensor.array @ values.reshape(len(values), -1)).reshape(values.shape[1:])
+    return (g.tensor.array @ values.reshape(len(values), math.prod(values.shape[1:]))).reshape(values.shape[1:])
 
 
 @dataclass
@@ -340,9 +338,9 @@ class RdeSolution:
         if self.states.ndim != 2:
             raise ValueError("the controlled lift is defined for one trajectory, not a batch")
         order = min(self.driver.level, self.driver.hoelder_level) + 1
-        values = self.table.values_at(self.states)
-        coeffs = {w: values[w] for w in words_up_to(self.system.d, order - 1)}
-        return ControlledPath(self.driver, order, self.system.n, self.times, coeffs)
+        words = words_up_to(self.system.d, order - 1)
+        values = self.table.values_at(self.states).array[: len(words)].swapaxes(0, 1)
+        return ControlledPath(self.driver, order, self.system.n, self.times, values)
 
     def fixed_point_residual(self) -> float:
         """A posteriori defect of the integral fixed-point form.

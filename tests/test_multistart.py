@@ -13,10 +13,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughkit.algebra import words_up_to
+from roughkit.errors import NumericalFailure
 from roughkit.functions import JetFunction, PolynomialFunction, compose_partial
 from roughkit.jets import JetSpace, jet_compose, solve_flow_jets, terminal_flow_jets
 from roughkit.rde import VectorFieldSystem, derive_fields
@@ -164,6 +165,7 @@ def test_multistart_jets_match_per_start_chain_rule(n, d, jet_order, gamma, mesh
     starts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
     seed=st.integers(0, 10_000),
 )
+@example(n=2, jet_order=1, starts=[0.0], seed=891)
 def test_flow_jets_match_the_per_start_loop(n, jet_order, starts, seed):
     rng = np.random.default_rng(seed)
     problem = random_problem(rng, n, 2, 0.3)
@@ -171,7 +173,18 @@ def test_flow_jets_match_the_per_start_loop(n, jet_order, starts, seed):
     table = derive_fields(fields, driver.level)
     points = rng.normal(0.0, 0.5, (2, n))
     partitions = [solve_partition(driver, s, 1.0, 1.0 / 6) for s in starts]
-    ends = terminal_flow_jets(points, fields, driver, partitions, jet_order, table)
+    try:
+        ends = terminal_flow_jets(points, fields, driver, partitions, jet_order, table)
+    except NumericalFailure as exc:
+        # The quadratic fields blow up on a few draws: the per-start loop must
+        # then be non-finite in the row the failure names, for a start it names.
+        message = str(exc)
+        row = int(message.rsplit(", row ", 1)[1])
+        named = [p for p in partitions if f" from s={p[0]:.6g}," in message] or partitions
+        with np.errstate(all="ignore"):
+            wants = [old_composed_jets(points, fields, driver, p, jet_order, table) for p in named]
+        assert any(not np.isfinite(want[0][row]).all() for want in wants), message
+        return
     for j, partition in enumerate(partitions):
         want = old_composed_jets(points, fields, driver, partition, jet_order, table)
         path = solve_flow_jets(points, fields, driver, partition, jet_order, table=table)
