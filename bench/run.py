@@ -22,7 +22,12 @@ its set-up, on perfbench's seed-0 fixtures (``perfbench/inputs.py``):
   ``graded_expansion`` call ``compose`` makes for one field on the
   513-point lift that ``rde --residual`` integrates, and the whole
   ``fixed_point_residual`` of that job on a fresh ``RdeSolution`` per call,
-  so that the cached controlled lift ``path`` is rebuilt each time.
+  so that the cached controlled lift ``path`` is rebuilt each time;
+  and the flow-jet path of ``verify transport`` on the
+  ``particle-transport`` fixture (polynomial fields, n = d = 2, mesh 1/32,
+  the 2x2 space grid and the start times its 65-point time grid needs):
+  ``FlowSolutionOracle.jets`` over that grid, and the one ``jet_compose``
+  that chains the terminal data through all its flow jets.
 
 Each row records, over REPEATS subprocesses, the median of the in-process
 seconds, the median wall time of the whole subprocess, and the samples.
@@ -47,7 +52,7 @@ SRC, PERFBENCH = os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")
 WORK = os.path.join(ROOT, ".bench_work")
 REPEATS = 5
 LAYER_CALLS = {"values_at.point": 400, "solve_rde.cells": 5, "values_at.513": 40, "graded_expansion.compose": 40,
-               "fixed_point_residual": 40}
+               "fixed_point_residual": 40, "flow_jets.verify_grid": 20, "jet_compose.terminal": 200}
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", ROUGHKIT_THREADS="1",
            PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join([SRC, PERFBENCH]))
 
@@ -96,16 +101,23 @@ def layers(directory: str) -> dict:
     import inputs
     import workloads
     from roughkit.algebra import expansion_plan
-    from roughkit.functions import graded_expansion
+    from roughkit.cli import _parse_grid
+    from roughkit.functions import function_from_json_dict, graded_expansion
+    from roughkit.jets import jet_compose, terminal_flow_jets
     from roughkit.rde import derive_fields, solve_rde, system_from_json_dict
     from roughkit.roughpath import PiecewiseLinearPath, lift_pl, solve_partition
+    from roughkit.rpde import FlowSolutionOracle, TransportProblem, _select_time_pairs
 
-    spec = workloads.WORKLOADS["solve-long"]
-    files = inputs.write_inputs(spec, 0, directory)
-    with open(files["path"], encoding="utf-8") as fh:
-        driver = lift_pl(PiecewiseLinearPath.from_csv(fh.read()), float(workloads.GAMMA))
-    with open(files["fields"], encoding="utf-8") as fh:
-        system = system_from_json_dict(json.load(fh))
+    def load(name: str):
+        spec = workloads.WORKLOADS[name]
+        files = inputs.write_inputs(spec, 0, os.path.join(directory, name))
+        with open(files["path"], encoding="utf-8") as fh:
+            driver = lift_pl(PiecewiseLinearPath.from_csv(fh.read()), float(workloads.GAMMA))
+        with open(files["fields"], encoding="utf-8") as fh:
+            system = system_from_json_dict(json.load(fh))
+        return spec, files, driver, system
+
+    spec, files, driver, system = load("solve-long")
     table = derive_fields(system, driver.level)
     x0 = np.array([float(v) for v in files["x0"].split(",")])
     partition = solve_partition(driver, 0.0, driver.horizon, 1.0 / spec["mesh_cells"])
@@ -117,12 +129,28 @@ def layers(directory: str) -> dict:
         graded_expansion(lambda k: [phi.deriv_tensors(X.primal, k)], X.stacked, expansion_plan(X.dim, 1, X.order - 1),
                          phi.n_out, present)
 
+    # verify transport on the particle-transport fixture, as the CLI sets it up.
+    spec_t, files_t, driver_t, system_t = load("particle-transport")
+    with open(files_t["terminal"], encoding="utf-8") as fh:
+        problem = TransportProblem(system_t, function_from_json_dict(json.load(fh)), driver_t)
+    oracle = FlowSolutionOracle(problem, mesh=1.0 / spec_t["transport_mesh_cells"])
+    grid = np.stack(_parse_grid(spec_t["space_grid"]))
+    time_grid = np.linspace(0.0, problem.horizon, spec_t["time_points"])
+    i, j, _ = _select_time_pairs(time_grid, spec_t["transport_anchors"])
+    starts = time_grid[np.unique(np.concatenate([i, j]))].tolist()
+    partitions = [solve_partition(driver_t, s, problem.horizon, oracle.mesh) for s in starts]
+    flow = terminal_flow_jets(grid, system_t, driver_t, partitions, oracle.jet_order, oracle.table)
+    rows = [b.reshape((-1,) + b.shape[2:]) for b in flow]
+    outer = problem.terminal.deriv_tensors(rows[0], range(oracle.jet_order + 1))
+
     calls = {
         "values_at.point": lambda: table.values_at(x0),
         "solve_rde.cells": lambda: solve_rde(x0, system, driver, partition, table=table),
         "values_at.513": lambda: table.values_at(solution.states),
         "graded_expansion.compose": compose_kernel,
         "fixed_point_residual": lambda: dataclasses.replace(solution).fixed_point_residual(),
+        "flow_jets.verify_grid": lambda: oracle.jets(starts, grid),
+        "jet_compose.terminal": lambda: jet_compose(outer, rows),
     }
     out = {}
     for name, call in calls.items():

@@ -592,13 +592,6 @@ def _wrap(dim: int, level: int, arr: np.ndarray) -> TruncatedTensor:
     return t
 
 
-def _group(dim: int, level: int, arr: np.ndarray) -> "GroupTensor":
-    """A group element around a row of an already-checked batch, unchecked."""
-    g = object.__new__(GroupTensor)
-    object.__setattr__(g, "tensor", _wrap(dim, level, arr))
-    return g
-
-
 def max_coeff_diff(a: TruncatedTensor, b: TruncatedTensor):
     """Largest absolute coefficient difference (per row for a batch)."""
     return (a - b).norm_inf()

@@ -82,11 +82,11 @@ class SmoothFunction:
 
     def values(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        return np.stack([self.value(x) for x in xs])
+        return np.array([self.value(x) for x in xs]).reshape(len(xs), self.n_out)
 
     def partials(self, xs, alpha: Alpha) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        return np.stack([self.partial(x, alpha) for x in xs])
+        return np.array([self.partial(x, alpha) for x in xs]).reshape(len(xs), self.n_out)
 
     def require_order(self, k: int, who: str = "operation"):
         if self.max_order is not None and k > self.max_order:

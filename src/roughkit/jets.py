@@ -11,9 +11,10 @@ lift at (x, y_1, …, y_k) is the partition sum
     Σ_{π ∈ P(p)} D^{#π} f(x)(y_{|B_1|}·, …, y_{|B_q|}·),
 
 i.e. exactly the p-th derivative of f composed with a map whose jets are
-the y's (the multinomial coefficient form of the lift groups partitions by
-block-size profile).  With the canonical initial data (x, I, 0, …, 0) the
-solution carries D^p X^{s,x}_t in its p-th block.
+the y's.  For a symmetric D^q f this partition sum is the deshuffle sum
+Σ_k (1/k!) Σ m·D^k f(V_{u_1}, …, V_{u_k}) of ``graded_expansion``, the
+kernel that builds the derived fields.  With the canonical initial data
+(x, I, 0, …, 0) the solution carries D^p X^{s,x}_t in its p-th block.
 
 Two stepping routes are provided and tested equal:
 
@@ -21,7 +22,7 @@ Two stepping routes are provided and tested equal:
   fields and Davie-step in S;
 * "composed": per cell, form the local jets Σ_w D^pF_w(x)⟨g, e_w⟩ of the
   Davie map and chain them onto the accumulated jets by the composition
-  rule for jets (the same partition sum).  This is algebraically the same
+  rule for jets (the same deshuffle sum).  This is algebraically the same
   update with the lift of the whole Davie map instead of per-field lifts,
   and is much cheaper for repeated queries.
 """
@@ -29,15 +30,16 @@ Two stepping routes are provided and tested equal:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import GroupTensor, words_up_to
+from .algebra import GroupTensor, expansion_plan, words_up_to
 from .errors import NumericalFailure
-from .functions import SmoothFunction
+from .functions import SmoothFunction, graded_expansion
 from .rde import DerivedFieldTable, VectorFieldSystem, as_batch, derive_fields, solve_rde
 from .regression import OrderCheck, order_checks
 from .roughpath import GeometricRoughPath
@@ -101,37 +103,36 @@ class JetSpace:
         return p, tuple(int(i) for i in np.unravel_index(local, self.block_shapes[p]))
 
 
-def jet_apply(outer_stack: list[np.ndarray], inner_blocks: list[np.ndarray], p: int) -> np.ndarray:
-    """p-th jet of outer ∘ inner from outer's derivative stack and inner's
-    jet blocks: Σ_{π∈P(p)} D^{#π}outer(y_{|B_1|}, …) with argument slots
-    routed block-by-block.  Leading batch axes, shared by all operands,
-    are carried through."""
-    letters = "abcdefghijkl"
-    out = 0.0
-    for partition in set_partitions(p):
-        q = len(partition)
-        operands = [outer_stack[q]]
-        spec = ["...z" + letters[:q]]
-        for j, block in enumerate(partition):
-            operands.append(inner_blocks[len(block)])
-            spec.append("..." + letters[j] + "".join(letters[q + pos] for pos in block))
-        out_spec = "...z" + "".join(letters[q + pos] for pos in range(p))
-        out = out + np.einsum(",".join(spec) + "->" + out_spec, *operands)
-    return out
-
-
 def jet_compose(outer_stack: list[np.ndarray], inner_blocks: list[np.ndarray]) -> list[np.ndarray]:
     """Chain jets: blocks of (outer ∘ inner) up to the inner jet order.
 
-    outer_stack[p] is D^p of the outer map at the inner base point;
-    inner_blocks[0] is ignored for p >= 1 (jets chain, base points map).
-    Leading batch axes are carried through.
+    outer_stack[k] (batch + (width,) + (n,)*k) is D^k of the outer map at
+    the inner base point and must be symmetric in its argument slots;
+    inner_blocks[p] (batch + (n,)*(p+1)) is inner's p-th jet, block 0 its
+    base point.  Block p at a level-p word w over {1..n} is the deshuffle
+    sum Σ_k (1/k!) Σ m·D^k outer(V_{u_1}, …, V_{u_k}) with V_u the entries
+    [..., :, u−1] of inner_blocks[|u|] (not necessarily symmetric): one
+    ``graded_expansion`` on ``expansion_plan(n, 1, jet_order)`` for all w.
+    Leading batch axes, shared by all operands, are carried through.
     """
     jet_order = len(inner_blocks) - 1
-    out = [outer_stack[0]]
-    for p in range(1, jet_order + 1):
-        out.append(jet_apply(outer_stack, inner_blocks, p))
-    return out
+    batch, n = np.shape(inner_blocks[0])[:-1], np.shape(inner_blocks[0])[-1]
+    m, width = math.prod(batch), np.shape(outer_stack[0])[-1]
+    # (M, W, n): V_u at u's dense index, the argument slots flattened in C order.
+    values = np.concatenate([np.reshape(b, (m, n, n**p)) for p, b in enumerate(inner_blocks)], axis=2).swapaxes(1, 2)
+    out = graded_expansion(
+        lambda k: [np.reshape(outer_stack[k], (m, width, n**k))], values, expansion_plan(n, 1, jet_order), width
+    ).swapaxes(1, 2)
+    ends = np.cumsum([n**p for p in range(jet_order + 1)]) - 1
+    return [outer_stack[0]] + [
+        out[:, :, ends[p - 1]: ends[p]].reshape(batch + (width,) + (n,) * p) for p in range(1, jet_order + 1)
+    ]
+
+
+def jet_apply(outer_stack: list[np.ndarray], inner_blocks: list[np.ndarray], p: int) -> np.ndarray:
+    """p-th jet of outer ∘ inner: block p of ``jet_compose`` (order 0 is
+    outer_stack[0])."""
+    return jet_compose(outer_stack, inner_blocks[: p + 1])[p]
 
 
 class JetVectorField(SmoothFunction):
@@ -157,12 +158,8 @@ class JetVectorField(SmoothFunction):
 
     def value(self, z) -> np.ndarray:
         blocks = self.space.unpack(z)
-        x = blocks[0]
-        stack = [t[0] for t in self.field.deriv_tensors(x[None], range(self.space.jet_order + 1))]
-        out = [stack[0]]
-        for p in range(1, self.space.jet_order + 1):
-            out.append(jet_apply(stack, blocks, p))
-        return self.space.pack(out)
+        stack = [t[0] for t in self.field.deriv_tensors(blocks[0][None], range(self.space.jet_order + 1))]
+        return self.space.pack(jet_compose(stack, blocks))
 
     def partial(self, z, alpha) -> np.ndarray:
         alpha = tuple(alpha)

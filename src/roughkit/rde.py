@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import EMPTY_WORD, GroupTensor, Word, deshuffles, expansion_plan, graded_shift, words_up_to
-from .algebra import _group, _letter_index
+from .algebra import _letter_index
 from .controlled import ControlledPath, compose, rough_integral
 from .errors import NumericalFailure
 from .functions import (
@@ -312,10 +312,14 @@ def davie_step(x, table: DerivedFieldTable, g: GroupTensor, route: str = "shuffl
     shape = (table.system.d, table.depth)
     if (g.dim, g.level) != shape:
         raise ValueError(f"increment (d, N) = {g.dim, g.level} does not match the table's {shape}")
-    values = table.values_at(x) if route == "shuffle" else table.recursion_values_at(x)
+    return _davie_update(table.values_at(x) if route == "shuffle" else table.recursion_values_at(x), g.tensor.array)
+
+
+def _davie_update(values: WordArrays, g: np.ndarray) -> np.ndarray:
+    """Σ_w ⟨g, e_w⟩ values.array[w] for a dense increment g (W,)."""
     # A C-ordered (W, M·n) matrix: BLAS sums a transposed view in another order.
     values = np.ascontiguousarray(values.array)
-    return (g.tensor.array @ values.reshape(len(values), math.prod(values.shape[1:]))).reshape(values.shape[1:])
+    return (g @ values.reshape(len(values), math.prod(values.shape[1:]))).reshape(values.shape[1:])
 
 
 @dataclass
@@ -390,7 +394,7 @@ def solve_rde(
     with np.errstate(invalid="ignore", over="ignore"):
         cells = driver.increments(partition[:-1], partition[1:]).tensor.array
         for p, inc in enumerate(cells):
-            xs = davie_step(xs, table, _group(driver.dim, driver.level, inc))
+            xs = _davie_update(table.values_at(xs), inc)
             if not np.isfinite(xs).all():
                 row = "" if single else f", row {int(np.argmin(np.isfinite(xs).all(axis=1)))}"
                 raise NumericalFailure(

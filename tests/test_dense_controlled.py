@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from roughkit.algebra import EMPTY_WORD, Word, _letter_index, expansion_plan, words_up_to
 from roughkit.controlled import ControlledPath, compose, rough_integral
-from roughkit.functions import PolynomialFunction, TrigPolynomial, graded_expansion
+from roughkit.functions import FiniteDifferenceFunction, PolynomialFunction, TrigPolynomial, graded_expansion
 from roughkit.rde import VectorFieldSystem, davie_step, derive_fields, solve_rde
 from roughkit.roughpath import grid_index, hoelder_level, lift_pl, sample_fbm
 
@@ -242,3 +242,22 @@ def test_empty_batch_runs_through_the_davie_path(family):
     assert values.array.shape == (len(table.words), 0, 2)
     assert davie_step(np.zeros((0, 2)), table, driver.increment(0.0, 0.5)).shape == (0, 2)
     assert solve_rde(np.zeros((0, 2)), system, driver, driver.times).states.shape == (len(driver.times), 0, 2)
+
+
+def test_empty_batch_runs_through_the_per_point_defaults():
+    # Fields with only a per-point ``value``/``partial`` reach the batch
+    # defaults of SmoothFunction, as do the recursion route's derived fields.
+    trig = TrigPolynomial(2, [[(0.5, (1.0, 0.3), 0.1)], [(0.4, (0.2, 1.0), 0.0)]])
+    fd = FiniteDifferenceFunction(lambda x: np.array([np.sin(x[0]) * x[1], 0.3 * x[0]]), 2, 2, max_order=3)
+    none = np.zeros((0, 2))
+    assert fd.values(none).shape == (0, 2) and fd.partials(none, (1, 2)).shape == (0, 2)
+    driver = lift_pl(sample_fbm(H=0.45, d=2, knots=9, seed=3), gamma=0.4, level=3)
+    g = driver.increment(0.0, 0.5)
+    table = derive_fields(VectorFieldSystem([trig, trig]), driver.level)
+    assert table.recursion_values_at(none).array.shape == (len(table.words), 0, 2)
+    assert davie_step(none, table, g, route="recursion").shape == (0, 2)
+    system = VectorFieldSystem([fd, fd])
+    table = derive_fields(system, driver.level)
+    assert table.values_at(none).array.shape == (len(table.words), 0, 2)
+    assert davie_step(none, table, g).shape == (0, 2)
+    assert solve_rde(none, system, driver, driver.times).states.shape == (len(driver.times), 0, 2)
