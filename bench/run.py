@@ -27,7 +27,10 @@ its set-up, on perfbench's seed-0 fixtures (``perfbench/inputs.py``):
   ``particle-transport`` fixture (polynomial fields, n = d = 2, mesh 1/32,
   the 2x2 space grid and the start times its 65-point time grid needs):
   ``FlowSolutionOracle.jets`` over that grid, and the one ``jet_compose``
-  that chains the terminal data through all its flow jets.
+  that chains the terminal data through all its flow jets; on the same
+  fixture, ``solve_transport`` on its 16 queries (mesh 1/32), and
+  ``push_measure`` of its 8-particle cloud to T (mesh 1/64), as the
+  ``transport`` and ``continuity`` jobs run them.
 
 Each row records, over REPEATS subprocesses, the median of the in-process
 seconds, the median wall time of the whole subprocess, and the samples.
@@ -52,7 +55,8 @@ SRC, PERFBENCH = os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")
 WORK = os.path.join(ROOT, ".bench_work")
 REPEATS = 5
 LAYER_CALLS = {"values_at.point": 400, "solve_rde.cells": 5, "values_at.513": 40, "graded_expansion.compose": 40,
-               "fixed_point_residual": 40, "flow_jets.verify_grid": 20, "jet_compose.terminal": 200}
+               "fixed_point_residual": 40, "flow_jets.verify_grid": 20, "jet_compose.terminal": 200,
+               "solve_transport.queries": 40, "push_measure.cloud": 40}
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", ROUGHKIT_THREADS="1",
            PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join([SRC, PERFBENCH]))
 
@@ -101,12 +105,12 @@ def layers(directory: str) -> dict:
     import inputs
     import workloads
     from roughkit.algebra import expansion_plan
-    from roughkit.cli import _parse_grid
+    from roughkit.cli import _load_measure, _parse_grid, _read_csv, parse_csv
     from roughkit.functions import function_from_json_dict, graded_expansion
     from roughkit.jets import jet_compose, terminal_flow_jets
     from roughkit.rde import derive_fields, solve_rde, system_from_json_dict
     from roughkit.roughpath import PiecewiseLinearPath, lift_pl, solve_partition
-    from roughkit.rpde import FlowSolutionOracle, TransportProblem, _select_time_pairs
+    from roughkit.rpde import FlowSolutionOracle, TransportProblem, _select_time_pairs, push_measure, solve_transport
 
     def load(name: str):
         spec = workloads.WORKLOADS[name]
@@ -142,6 +146,8 @@ def layers(directory: str) -> dict:
     flow = terminal_flow_jets(grid, system_t, driver_t, partitions, oracle.jet_order, oracle.table)
     rows = [b.reshape((-1,) + b.shape[2:]) for b in flow]
     outer = problem.terminal.deriv_tensors(rows[0], range(oracle.jet_order + 1))
+    queries = [(float(r[0]), r[1:]) for r in _read_csv(files_t["query"], lambda text: parse_csv(text, "s"))[1]]
+    mu = _load_measure(files_t["mu"])
 
     calls = {
         "values_at.point": lambda: table.values_at(x0),
@@ -151,6 +157,9 @@ def layers(directory: str) -> dict:
         "fixed_point_residual": lambda: dataclasses.replace(solution).fixed_point_residual(),
         "flow_jets.verify_grid": lambda: oracle.jets(starts, grid),
         "jet_compose.terminal": lambda: jet_compose(outer, rows),
+        "solve_transport.queries": lambda: solve_transport(problem, queries, oracle.mesh),
+        "push_measure.cloud": lambda: push_measure(system_t, driver_t, mu, np.array([0.0, problem.horizon]),
+                                                   1.0 / spec_t["mesh_cells"]),
     }
     out = {}
     for name, call in calls.items():

@@ -203,8 +203,8 @@ class PolynomialFunction(SmoothFunction):
 
     Each output component is a sparse map from exponent tuples to
     coefficients.  Differentiation is symbolic and cached per sorted
-    multi-index; the partials of one order are evaluated by one
-    ``MonomialSweep`` compiled per order.
+    multi-index; each order's partials are one ``MonomialSweep`` compiled
+    per order, and any set of orders shares one pass over the monomials.
     """
 
     def __init__(self, n_in: int, components: Sequence[PolyComponent]):
@@ -222,7 +222,7 @@ class PolynomialFunction(SmoothFunction):
             comps.append(clean)
         self.components: tuple[PolyComponent, ...] = tuple(comps)
         self._derived: dict[Alpha, PolynomialFunction] = {}
-        self._sweeps: dict[int, MonomialSweep] = {}
+        self._plans: dict[tuple[int, ...], tuple[np.ndarray, list]] = {}
 
     # -- constructors ----------------------------------------------------------
 
@@ -263,12 +263,21 @@ class PolynomialFunction(SmoothFunction):
         return self._sorted_partials(xs, 0)[:, 0]
 
     def _sorted_partials(self, xs, k: int) -> np.ndarray:
-        sweep = self._sweeps.get(k)
-        if sweep is None:
-            alphas, _ = _symmetric_gather(self.n_in, k)
-            sweep = MonomialSweep(self.n_in, [self.derived(alpha).components for alpha in alphas])
-            self._sweeps[k] = sweep
-        return sweep(np.asarray(xs, dtype=float))
+        return self._partials_by_order(np.asarray(xs, dtype=float), (k,))[0]
+
+    def _partials_by_order(self, xs: np.ndarray, orders: Sequence[int]) -> list[np.ndarray]:
+        """x**e once over the union of the orders' exponents; each order's
+        ``MonomialSweep`` then gathers its own columns and coefficients."""
+        key = tuple(orders)
+        if key not in self._plans:
+            sweeps = [MonomialSweep(self.n_in, [self.derived(a).components for a in _symmetric_gather(self.n_in, k)[0]])
+                      for k in key]
+            expos, cols = np.unique(np.concatenate([s.expos for s in sweeps]), axis=0, return_inverse=True)
+            self._plans[key] = expos, list(zip(np.split(cols, np.cumsum([len(s.expos) for s in sweeps])), sweeps))
+        expos, parts = self._plans[key]
+        with np.errstate(over="ignore", invalid="ignore"):  # blow-up is reported by the solvers
+            monomials = np.prod(xs[:, None, :] ** expos[None, :, :], axis=2)
+            return [(monomials.take(c, axis=1) @ s.coeff).reshape(xs.shape[:1] + s.shape) for c, s in parts]
 
     def derived(self, alpha: Alpha) -> "PolynomialFunction":
         key = tuple(sorted(alpha))

@@ -40,7 +40,7 @@ import numpy as np
 from .algebra import GroupTensor, expansion_plan, words_up_to
 from .errors import NumericalFailure
 from .functions import SmoothFunction, graded_expansion
-from .rde import DerivedFieldTable, VectorFieldSystem, as_batch, derive_fields, solve_rde
+from .rde import DerivedFieldTable, VectorFieldSystem, _ragged_steps, as_batch, derive_fields, solve_rde
 from .regression import OrderCheck, order_checks
 from .roughpath import GeometricRoughPath
 
@@ -308,39 +308,28 @@ def terminal_flow_jets(
     xs, _ = as_batch(x0, system.n)
     if table is None:
         table = derive_fields(system, driver.level)
-    m = len(xs)
-    space = JetSpace(system.n, jet_order)
-    cells = np.array([len(p) - 1 for p in partitions])
-    order = np.argsort(-cells, kind="stable")
-    cells = cells[order]
-    longest = int(cells.max(initial=0))
-    first = np.concatenate([[0], np.cumsum(cells)[:-1]])
-    rows = [np.asarray(partitions[j], dtype=float) for j in order]
-    incs = driver.increments(np.concatenate([p[:-1] for p in rows]), np.concatenate([p[1:] for p in rows]))
-    current = space.unpack(space.canonical_state(np.tile(xs, (len(rows), 1))))
+    m, space = len(xs), JetSpace(system.n, jet_order)
+    order, steps = _ragged_steps(driver, partitions, np.repeat(np.arange(len(partitions)), m))
+    current = space.unpack(space.canonical_state(np.tile(xs, (len(partitions), 1))[order]))
     if on_step is not None:
         on_step(current)
-    for k in range(longest):
-        live = int(np.count_nonzero(cells >= longest - k))
-        cell = k - (longest - cells[:live])
-        g = np.repeat(incs.tensor.array[first[:live] + cell], m, axis=0)
-        jets = [b[: live * m] for b in current]
+    for live, g, cell in steps:
+        jets = [b[:live] for b in current]
         blocks = table.jet_stacks(jets[0], jet_order).array
-        davie_stack = [np.einsum("aw,aw...->a...", g, np.ascontiguousarray(b.swapaxes(0, 1))) for b in blocks]
-        jets = jet_compose(davie_stack, jets)
-        finite = np.logical_and.reduce([np.isfinite(b).reshape(live * m, -1).all(axis=1) for b in jets])
+        jets = jet_compose([np.einsum("aw,aw...->a...", g, b.swapaxes(0, 1)) for b in blocks], jets)
+        finite = np.logical_and.reduce([np.isfinite(b).reshape(live, -1).all(axis=1) for b in jets])
         if not finite.all():
             bad = int(np.argmin(finite))
-            start = "" if len(rows) == 1 else f" from s={rows[bad // m][0]:.6g}"
-            row = "" if m == 1 else f", row {bad % m}"
-            raise NumericalFailure(f"solve_flow_jets: blow-up on cell index {cell[bad // m]}{start}{row}")
+            start = "" if len(partitions) == 1 else f" from s={partitions[order[bad] // m][0]:.6g}"
+            row = "" if m == 1 else f", row {order[bad] % m}"
+            raise NumericalFailure(f"solve_flow_jets: blow-up on cell index {cell[bad]}{start}{row}")
         for block, new in zip(current, jets):
-            block[: live * m] = new
+            block[:live] = new
         if on_step is not None:
             on_step(current)
     # Back from the descending-length order to the partitions' order.
     rank = np.argsort(order)
-    return [b.reshape((len(rows), m) + b.shape[1:])[rank] for b in current]
+    return [b[rank].reshape((len(partitions), m) + b.shape[1:]) for b in current]
 
 
 def solve_flow_jets(

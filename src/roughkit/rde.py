@@ -254,7 +254,8 @@ class DerivedFieldTable:
     def jet_stacks(self, x, pmax: int) -> WordArrays:
         """[D^p F_w(x) for p = 0..pmax] per word, as (n,)*(p+1) arrays, or
         (M,) + (n,)*(p+1) arrays for a batch x of shape (M, n); ``array[p]``
-        holds order p for every word, (W,) + that shape.
+        holds order p for every word, (W,) + that shape, for a batch a view
+        of one C-ordered (M, W, n, …) array: the per-row contraction's operand.
 
         A polynomial table evaluates the partials ∂^α F_w of every sorted
         multi-index α and word in one compiled monomial sweep and gathers
@@ -265,7 +266,7 @@ class DerivedFieldTable:
         xs, single = as_batch(x, n)
         if not self.polynomial:
             jets = [self._fields[w].deriv_tensors(xs, range(pmax + 1)) for w in self.words]
-            blocks = [np.stack(orders) for orders in zip(*jets)]
+            rows = [np.stack(orders, axis=1) for orders in zip(*jets)]
         else:
             orders = [_symmetric_gather(n, p) for p in range(pmax + 1)]
             alphas = [alpha for order, _ in orders for alpha in order]
@@ -275,11 +276,11 @@ class DerivedFieldTable:
                 maps = [self._fields[w].derived(alpha).components for alpha in alphas for w in self.words]
                 sweep = MonomialSweep(n, maps)
                 self._stack_cache[pmax] = sweep
-            vals = sweep(xs).reshape(len(xs), len(alphas), len(self.words), n)
-            # (M, n^p, W, n) -> (W, M, n, n, …, n): the word, the output slot, then the arguments.
-            blocks = [np.moveaxis(vals[:, idx + offsets[p]], (2, 1), (0, -1)) for p, (_, idx) in enumerate(orders)]
-            blocks = [b.reshape(b.shape[:3] + (n,) * p) for p, b in enumerate(blocks)]
-        return WordArrays(self.system.d, self.depth, [b[:, 0] for b in blocks] if single else blocks)
+            # (M, W·n, α) once, then per order the gather of its arguments: (M, W, n, n, …, n).
+            shape = (len(xs), len(self.words), n)
+            vals = np.ascontiguousarray(sweep(xs).reshape(len(xs), len(alphas), shape[1] * n).swapaxes(1, 2))
+            rows = [vals.take(idx + offsets[p], axis=2).reshape(shape + (n,) * p) for p, (_, idx) in enumerate(orders)]
+        return WordArrays(self.system.d, self.depth, [r[0] if single else r.swapaxes(0, 1) for r in rows])
 
 
 def as_batch(x, n: int, what: str = "point") -> tuple[np.ndarray, bool]:
@@ -405,6 +406,29 @@ def solve_rde(
     return RdeSolution(
         states=states[:, 0] if single else states, times=partition, table=table, driver=driver, system=system
     )
+
+
+def _ragged_steps(driver: GeometricRoughPath, partitions: Sequence[np.ndarray], owners: np.ndarray):
+    """Row r stepped on ``partitions[owners[r]]`` to its end: the row order
+    by decreasing cell count, and per step k the live rows (a prefix of that
+    order: those with a k-th cell counted back from the end), their (live, W)
+    increments, all from one batch, and their cells' indices."""
+    cells = np.array([len(p) - 1 for p in partitions], dtype=int)
+    by_length = np.argsort(-cells, kind="stable")
+    parts = [np.asarray(partitions[j], dtype=float) for j in by_length]
+    incs = driver.increments(np.concatenate([p[:-1] for p in parts]), np.concatenate([p[1:] for p in parts]))
+    first = (np.cumsum(cells[by_length]) - cells[by_length])[np.argsort(by_length)]  # each partition's row in incs
+    order = np.argsort(-cells[owners], kind="stable")
+    counts, first = cells[owners[order]], first[owners[order]]
+    longest = int(counts.max(initial=0))
+
+    def steps():
+        for k in range(longest):
+            live = int(np.count_nonzero(counts >= longest - k))
+            cell = k - (longest - counts[:live])
+            yield live, incs.tensor.array[first[:live] + cell], cell
+
+    return order, steps()
 
 
 # ---------------------------------------------------------------------------

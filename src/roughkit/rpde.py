@@ -40,6 +40,7 @@ from .rde import (
     DerivedFieldTable,
     VectorFieldSystem,
     WordArrays,
+    _ragged_steps,
     as_batch,
     derive_fields,
     solve_rde,
@@ -77,26 +78,33 @@ def solve_transport(
 ) -> np.ndarray:
     """u(s, x) = g(X^{s,x}_T) for each query, by flow solves.
 
-    Queries sharing a start time s share a partition and are stepped as one
-    batch; queries at s = T return g(x) exactly.
-    """
-    driver = problem.driver
-    n = problem.fields.n
+    All queries are stepped as one ragged batch (``_ragged_steps``), each on
+    its start's partition against its own increment, with one table
+    evaluation per step; queries at s = T return g(x) exactly.  A start
+    outside [0, T] or a blow-up names the query (and the cell)."""
+    driver, horizon, queries = problem.driver, problem.horizon, list(queries)
+    if not queries:
+        return np.empty(0)
+    starts = [float(s) for s, _ in queries]
+    outside = [q for q, s in enumerate(starts) if not 0.0 <= s <= horizon]
+    if outside:
+        raise ValueError(f"query {outside[0]}: start s={starts[outside[0]]!r} is outside [0, {horizon!r}]")
+    xs, _ = as_batch(np.stack([np.atleast_1d(x) for _, x in queries]), problem.fields.n, "query point")
+    distinct, owners = np.unique(starts, return_inverse=True)
+    partitions = [solve_partition(driver, s, horizon, mesh) for s in distinct]
     table = derive_fields(problem.fields, driver.level)
-    queries = list(queries)
-    groups: dict[float, list[int]] = {}
-    for q, (s, _) in enumerate(queries):
-        groups.setdefault(float(s), []).append(q)
-
-    values = np.empty(len(queries))
-    for s, members in groups.items():
-        points = np.stack([np.atleast_1d(np.asarray(queries[q][1], dtype=float)) for q in members])
-        xs, _ = as_batch(points, n, "query point")
-        partition = solve_partition(driver, s, problem.horizon, mesh)
-        if len(partition) > 1:
-            xs = solve_rde(xs, problem.fields, driver, partition, table=table).terminal()
-        values[members] = problem.terminal.values(xs)[:, 0]
-    return values
+    order, steps = _ragged_steps(driver, partitions, owners)
+    xs = xs[order]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for live, g, cell in steps:
+            xs[:live] = np.einsum("aw,aw...->a...", g, table.values_at(xs[:live]).array.swapaxes(0, 1))
+            finite = np.isfinite(xs[:live]).all(axis=1)
+            if not finite.all():
+                q, c = int(order[np.argmin(finite)]), int(cell[np.argmin(finite)])
+                a, b = partitions[owners[q]][c : c + 2]
+                raise NumericalFailure(f"solve_transport: query {q} from s={starts[q]:.6g} blew up on cell "
+                                       f"[{a:.6g}, {b:.6g}]")
+    return problem.terminal.values(xs)[np.argsort(order), 0]
 
 
 class FlowSolutionOracle:
