@@ -736,9 +736,6 @@ class GroupTensor:
     def convolve(self, other: "GroupTensor") -> "GroupTensor":
         return GroupTensor(convolution(self.tensor, other.tensor))
 
-    def at_level(self, level: int) -> "GroupTensor":
-        return GroupTensor(self.tensor.at_level(level))
-
 
 def group_inverse(g: GroupTensor, tol: float | None = 1e-8) -> GroupTensor:
     """Group inverse via the antipode: g^{-1} = g ∘ S.

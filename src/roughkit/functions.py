@@ -516,7 +516,6 @@ def compose_partial(
     inner: SmoothFunction,
     x,
     alpha: Alpha,
-    inner_value: np.ndarray | None = None,
 ) -> np.ndarray:
     """∂^α(outer ∘ inner)(x) by the multivariate higher-order chain rule.
 
@@ -525,7 +524,7 @@ def compose_partial(
     inner partials ∂^{β_j}.  α is a word over {1..inner.n_in}.
     """
     x = _as_point(x, inner.n_in)
-    y = inner.value(x) if inner_value is None else inner_value
+    y = inner.value(x)
     if not alpha:
         return outer.value(y)
     m = len(alpha)

@@ -96,20 +96,20 @@ class VectorFieldSystem:
 
 
 class _LeibnizDerivedField(SmoothFunction):
-    """F_new = (D parent) · direction with symbolically assembled partials.
+    """F_new = (D parent) · direction with symbolically assembled partials:
+    F_{iw} from F_w and f_i, or Γ_iφ from a scalar φ and f_i.
 
     ∂^α F_new = Σ_b Σ_{S ⊆ α} ∂^{α_S b} parent · ∂^{α\\S} direction^b; partial
     results are memoized per point since table evaluations revisit points.
     """
 
     def __init__(self, parent: SmoothFunction, direction: SmoothFunction):
-        n = parent.n_in
         orders = []
         if parent.max_order is not None:
             orders.append(parent.max_order - 1)
         if direction.max_order is not None:
             orders.append(direction.max_order)
-        super().__init__(n, n, min(orders) if orders else None)
+        super().__init__(parent.n_in, parent.n_out, min(orders) if orders else None)
         if self.max_order is not None and self.max_order < 0:
             raise ValueError("insufficient derivative order to build derived field")
         self.parent = parent
@@ -183,9 +183,10 @@ class DerivedFieldTable:
     """F_w for all non-empty words up to a depth, plus F_ε = id.
 
     The smooth-function route (``field``) realizes the prepend recursion
-    F_{iw} = DF_w·f_i; ``values_at`` evaluates the whole table at a point
-    through the independent append/shuffle construction.  Immutable after
-    construction and shared read-only between threads.
+    F_{iw} = DF_w·f_i, building each F_w on first use; ``values_at``
+    evaluates the whole table at a point through the independent
+    append/shuffle construction.  Lazy builds are idempotent: every call
+    of ``field(w)`` returns the same object.
     """
 
     def __init__(self, system: VectorFieldSystem, depth: int):
@@ -197,25 +198,21 @@ class DerivedFieldTable:
         self.polynomial = all(isinstance(f, PolynomialFunction) for f in system.fields)
         self._stack_cache: dict[int, MonomialSweep] = {}
         self._fields: dict[Word, SmoothFunction] = {EMPTY_WORD: PolynomialFunction.identity(system.n)}
-        for w in words_up_to(system.d, depth):
-            if len(w) == 0:
-                continue
-            if len(w) == 1:
-                self._fields[w] = system.fields[w[0] - 1]
-            else:
-                parent = self._fields[w[1:]]
-                direction = system.fields[w[0] - 1]
-                if self.polynomial:
-                    self._fields[w] = _poly_derived(parent, direction)
-                else:
-                    self._fields[w] = _LeibnizDerivedField(parent, direction)
 
     @property
     def words(self) -> tuple[Word, ...]:
         return words_up_to(self.system.d, self.depth)
 
     def field(self, w: Word) -> SmoothFunction:
-        return self._fields[w]
+        """F_w, built from F_{w[1:]} the first time it is asked for; KeyError
+        for a word beyond the table's depth or alphabet, or a non-word."""
+        if not isinstance(w, Word) or len(w) > self.depth or any(i > self.system.d for i in w.letters):
+            raise KeyError(w)
+        fn = self._fields.get(w)
+        if fn is None:
+            f_i, build = self.system.fields[w[0] - 1], _poly_derived if self.polynomial else _LeibnizDerivedField
+            fn = self._fields.setdefault(w, f_i if len(w) == 1 else build(self.field(w[1:]), f_i))
+        return fn
 
     # -- independent evaluation route ------------------------------------------
 
@@ -246,7 +243,7 @@ class DerivedFieldTable:
     def recursion_values_at(self, x) -> WordArrays:
         """All F_w(x) through the smooth-function (prepend) route."""
         xs, single = as_batch(x, self.system.n)
-        out = np.stack([self._fields[w].values(xs) for w in self.words])
+        out = np.stack([self.field(w).values(xs) for w in self.words])
         return WordArrays(self.system.d, self.depth, out[:, 0] if single else out)
 
     # -- jet stacks -----------------------------------------------------------------
@@ -265,7 +262,7 @@ class DerivedFieldTable:
         n = self.system.n
         xs, single = as_batch(x, n)
         if not self.polynomial:
-            jets = [self._fields[w].deriv_tensors(xs, range(pmax + 1)) for w in self.words]
+            jets = [self.field(w).deriv_tensors(xs, range(pmax + 1)) for w in self.words]
             rows = [np.stack(orders, axis=1) for orders in zip(*jets)]
         else:
             orders = [_symmetric_gather(n, p) for p in range(pmax + 1)]
@@ -273,7 +270,7 @@ class DerivedFieldTable:
             offsets = np.cumsum([0] + [len(order) for order, _ in orders])
             sweep = self._stack_cache.get(pmax)
             if sweep is None:
-                maps = [self._fields[w].derived(alpha).components for alpha in alphas for w in self.words]
+                maps = [self.field(w).derived(alpha).components for alpha in alphas for w in self.words]
                 sweep = MonomialSweep(n, maps)
                 self._stack_cache[pmax] = sweep
             # (M, W·n, α) once, then per order the gather of its arguments: (M, W, n, n, …, n).
@@ -510,44 +507,14 @@ class GammaField(SmoothFunction):
         return np.array([total])
 
 
-class _DirectionalDerivative(SmoothFunction):
-    """Γ_i φ = f_i · ∇φ as a smooth function with Leibniz partials."""
+class _DirectionalDerivative(_LeibnizDerivedField):
+    """Γ_i φ = Dφ · f_i: the table's Leibniz rule seeded with a scalar φ."""
 
     def __init__(self, field: SmoothFunction, phi: SmoothFunction):
         if phi.n_out != 1:
             raise ValueError("Γ operators act on scalar functions")
         phi.require_order(1, "gamma composition")
-        orders = []
-        if phi.max_order is not None:
-            orders.append(phi.max_order - 1)
-        if field.max_order is not None:
-            orders.append(field.max_order)
-        super().__init__(phi.n_in, 1, min(orders) if orders else None)
-        self.field = field
-        self.phi = phi
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        grad = np.array([self.phi.partial(x, (b,))[0] for b in range(1, self.n_in + 1)])
-        return np.array([float(self.field.value(x) @ grad)])
-
-    def partial(self, x, alpha):
-        x = np.asarray(x, dtype=float)
-        alpha = tuple(alpha)
-        if not alpha:
-            return self.value(x)
-        total = 0.0
-        positions = list(range(len(alpha)))
-        for b in range(1, self.n_in + 1):
-            for r in range(len(alpha) + 1):
-                for subset in itertools.combinations(positions, r):
-                    inside = tuple(alpha[i] for i in subset)
-                    outside = tuple(alpha[i] for i in positions if i not in subset)
-                    fb = self.field.partial(x, outside)[b - 1]
-                    if fb == 0.0:
-                        continue
-                    total += fb * self.phi.partial(x, inside + (b,))[0]
-        return np.array([total])
+        super().__init__(phi, field)
 
 
 def gamma_operator(

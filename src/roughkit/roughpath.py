@@ -209,27 +209,16 @@ class GeometricRoughPath:
     # -- evaluation -----------------------------------------------------------
 
     @cached_property
-    def _inverses(self) -> np.ndarray:
-        return self._inverse(self._stack)
-
-    @cached_property
     def _segment_logs(self) -> np.ndarray:
         """log(W_{t_k}^{-1} ⋆ W_{t_{k+1}}) per knot interval."""
-        return tensor_log(convolution(self._tensor(self._inverses[:-1]), self._tensor(self._stack[1:]))).array
+        inverses = self._tensor(self._inverse(self._stack[:-1]))
+        return tensor_log(convolution(inverses, self._tensor(self._stack[1:]))).array
 
     def _tensor(self, array: np.ndarray) -> TruncatedTensor:
         return _wrap(self.dim, self.level, array)
 
     def _inverse(self, array: np.ndarray) -> np.ndarray:
         return group_inverse(GroupTensor(self._tensor(array)), tol=None).tensor.array
-
-    def _knot_index(self, t: float) -> int | None:
-        j = int(np.searchsorted(self.times, t))
-        if j < len(self.times) and abs(self.times[j] - t) <= 1e-12:
-            return j
-        if j > 0 and abs(self.times[j - 1] - t) <= 1e-12:
-            return j - 1
-        return None
 
     def _between_knots(self, ts: np.ndarray) -> np.ndarray:
         """W_t at off-grid times, one (shape ()) or a batch (B,): the left
@@ -268,16 +257,9 @@ class GeometricRoughPath:
         return GroupTensor(self._tensor(self._basepoints_at(np.array([float(t)]))[0]))
 
     def increment(self, s: float, t: float) -> GroupTensor:
-        """The increment W_{st} = W_s^{-1} ⋆ W_t; identity when s == t."""
-        s, t = float(s), float(t)
-        if s > t:
-            raise ValueError(f"increment requires s <= t, got s={s} > t={t}")
-        if s == t:
-            return GroupTensor.identity(self.dim, self.level)
-        js, jt = self._knot_index(s), self._knot_index(t)
-        left = self._inverses[js] if js is not None else self._inverse(self.basepoint_at(s).tensor.array)
-        right = self._stack[jt] if jt is not None else self.basepoint_at(t).tensor.array
-        return GroupTensor(convolution(self._tensor(left), self._tensor(right)))
+        """The increment W_{st} = W_s^{-1} ⋆ W_t; identity when s == t.
+        The batch of one of ``increments``."""
+        return GroupTensor(self._tensor(self.increments([s], [t]).tensor.array[0]))
 
     def increments(self, lefts, rights) -> GroupTensor:
         """W_{s_c t_c} for every pair (s_c, t_c), as one (C, size) batch:

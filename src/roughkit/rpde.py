@@ -214,25 +214,25 @@ class GradedReport(NamedTuple):
         return all(c.passed for c in self.checks.values())
 
 
-def _select_time_pairs(
-    time_grid: np.ndarray, anchors_per_scale: int, min_pairs: int = 4
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dyadic-stride pairs on the time grid, subsampled to bound work, as
-    index arrays (i, j) and each pair's scale id.
+# Scales with fewer disjoint pairs are outside the regime where an aggregate
+# defect is statistically meaningful.
+MIN_SCALE_PAIRS = 4
 
-    Scales with fewer than ``min_pairs`` disjoint pairs are outside the
-    regime where an aggregate defect is statistically meaningful.
-    """
+
+def _select_time_pairs(time_grid: np.ndarray, anchors_per_scale: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dyadic-stride pairs on the time grid with at least ``MIN_SCALE_PAIRS``
+    per scale, subsampled to bound work, as index arrays (i, j) and each
+    pair's scale id."""
     if anchors_per_scale < 1:
         raise ValueError(f"need at least one time pair per scale, got {anchors_per_scale}")
     scales = []
-    for stride, pairs in dyadic_pairs(len(time_grid), min_pairs=min_pairs):
+    for stride, pairs in dyadic_pairs(len(time_grid), min_pairs=MIN_SCALE_PAIRS):
         if len(pairs) > anchors_per_scale:
             chosen = np.linspace(0, len(pairs) - 1, anchors_per_scale).round().astype(int)
             pairs = [pairs[i] for i in chosen]
         scales.append(pairs)
     if not scales:
-        raise ValueError(f"a time grid of {len(time_grid)} points has no scale of {min_pairs} disjoint pairs")
+        raise ValueError(f"a time grid of {len(time_grid)} points has no scale of {MIN_SCALE_PAIRS} disjoint pairs")
     return pair_arrays(scales)
 
 
@@ -257,7 +257,7 @@ def verify_transport(
     n_gamma = driver.hoelder_level
     time_grid = np.asarray(time_grid, dtype=float)
     points = np.stack([np.atleast_1d(np.asarray(x, dtype=float)) for x in space_grid])
-    table = derive_fields(problem.fields, max(driver.level, n_gamma))
+    table = derive_fields(problem.fields, driver.level)
     words = words_up_to(driver.dim, n_gamma)
     i, j, scale_ids = _select_time_pairs(time_grid, anchors_per_scale)
     needed, rows = np.unique(np.concatenate([i, j]), return_inverse=True)
@@ -310,10 +310,6 @@ class ParticleMeasure:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
     def mass(self) -> float:
         return float(self.weights.sum())
@@ -409,7 +405,7 @@ def verify_continuity(
         raise ValueError("driver dimension must match the number of fields")
     n_gamma = driver.hoelder_level
     time_grid = np.asarray(time_grid, dtype=float)
-    table = derive_fields(fields, max(driver.level, n_gamma))
+    table = derive_fields(fields, driver.level)
     for phi in phis:
         phi.require_order(n_gamma + 1, "verify_continuity")
     words = words_up_to(driver.dim, n_gamma)
@@ -448,13 +444,6 @@ class DualityReport(NamedTuple):
     times: np.ndarray
     alphas: np.ndarray
     max_drift: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "times": [float(t) for t in self.times],
-            "alphas": [float(a) for a in self.alphas],
-            "max_drift": self.max_drift,
-        }
 
 
 def duality_check(

@@ -66,6 +66,15 @@ def _result(criterion: str, name: str, passed: bool, detail: str) -> CheckResult
 # 1. Algebraic exactness.
 # ---------------------------------------------------------------------------
 
+def _chen_residual(path: GeometricRoughPath, triples: np.ndarray) -> float:
+    """max |W_{t_i t_k} − W_{t_i t_j} ⋆ W_{t_j t_k}| over index triples (i, j, k)
+    with i <= j <= k: three increment batches and one convolution."""
+    t = path.times[triples.T]
+    direct = path.increments(t[0], t[2]).tensor
+    composed = convolution(path.increments(t[0], t[1]).tensor, path.increments(t[1], t[2]).tensor)
+    return float(np.max(max_coeff_diff(direct, composed), initial=0.0))
+
+
 def criterion_algebra_exactness(seed: int = 101, segments: int = 16) -> list[CheckResult]:
     """d=2, N=5 piecewise-linear lift: Chen, character, inverse residuals."""
     rng = np.random.default_rng(seed)
@@ -73,19 +82,8 @@ def criterion_algebra_exactness(seed: int = 101, segments: int = 16) -> list[Che
     values = np.vstack([np.zeros((1, 2)), np.cumsum(increments, axis=0)])
     path = PiecewiseLinearPath(times=np.linspace(0.0, 1.0, segments + 1), values=values)
     rough = lift_pl(path, gamma=0.2, level=5)
-    times = rough.times
-
-    chen_worst = 0.0
-    n_triples = 0
-    for i in range(len(times)):
-        for j in range(i, len(times)):
-            for k in range(j, len(times)):
-                direct = rough.increment(times[i], times[k])
-                composed = rough.increment(times[i], times[j]).convolve(
-                    rough.increment(times[j], times[k])
-                )
-                chen_worst = max(chen_worst, max_coeff_diff(direct.tensor, composed.tensor))
-                n_triples += 1
+    triples = np.array(list(itertools.combinations_with_replacement(range(len(rough.times)), 3)))
+    chen_worst, n_triples = _chen_residual(rough, triples), len(triples)
 
     char_worst = 0.0
     inverse_worst = 0.0
@@ -601,14 +599,8 @@ def criterion_driver_smoke(gamma: float = 0.5, seed: int = 7) -> list[CheckResul
     worst_char = max(
         is_character(g.tensor, tol=1e-10).violation for g in driver.basepoints
     )
-    chen = 0.0
-    times = driver.times
     rng = np.random.default_rng(seed)
-    for _ in range(24):
-        i, j, k = sorted(rng.integers(0, len(times), 3))
-        direct = driver.increment(times[i], times[k])
-        composed = driver.increment(times[i], times[j]).convolve(driver.increment(times[j], times[k]))
-        chen = max(chen, max_coeff_diff(direct.tensor, composed.tensor))
+    chen = _chen_residual(driver, np.array([sorted(rng.integers(0, len(driver.times), 3)) for _ in range(24)]))
     X = coordinate_lift(driver, 1)
     checks = check_controlled(X)
     ok = worst_char <= 1e-10 and chen <= 1e-12 and all(c.passed for c in checks.values())
