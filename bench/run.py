@@ -30,9 +30,11 @@ its set-up, on perfbench's seed-0 fixtures (``perfbench/inputs.py``):
   that chains the terminal data through all its flow jets; on the same
   fixture, ``solve_transport`` on its 16 queries (mesh 1/32), and
   ``push_measure`` of its 8-particle cloud to T (mesh 1/64), as the
-  ``transport`` and ``continuity`` jobs run them; and one fresh
+  ``transport`` and ``continuity`` jobs run them; one fresh
   ``derive_fields`` on its fields at the driver's level, the table every
-  ``transport`` and ``continuity`` job builds.
+  ``transport`` and ``continuity`` job builds; and a fresh table with its
+  first ``jet_stacks`` at pmax 3 on the 2x2 space grid, which compiles the
+  polynomial jet sweep as every ``verify transport`` job does.
 
 Each row records, over REPEATS subprocesses, the median of the in-process
 seconds, the median wall time of the whole subprocess, and the samples.
@@ -58,7 +60,8 @@ WORK = os.path.join(ROOT, ".bench_work")
 REPEATS = 5
 LAYER_CALLS = {"values_at.point": 400, "solve_rde.cells": 5, "values_at.513": 40, "graded_expansion.compose": 40,
                "fixed_point_residual": 40, "flow_jets.verify_grid": 20, "jet_compose.terminal": 200,
-               "solve_transport.queries": 40, "push_measure.cloud": 40, "derive_fields.table": 30}
+               "solve_transport.queries": 40, "push_measure.cloud": 40, "derive_fields.table": 30,
+               "jet_stacks.fresh": 30}
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", ROUGHKIT_THREADS="1",
            PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join([SRC, PERFBENCH]))
 
@@ -163,6 +166,7 @@ def layers(directory: str) -> dict:
         "push_measure.cloud": lambda: push_measure(system_t, driver_t, mu, np.array([0.0, problem.horizon]),
                                                    1.0 / spec_t["mesh_cells"]),
         "derive_fields.table": lambda: derive_fields(system_t, driver_t.level),
+        "jet_stacks.fresh": lambda: derive_fields(system_t, driver_t.level).jet_stacks(grid, 3),
     }
     out = {}
     for name, call in calls.items():

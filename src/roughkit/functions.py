@@ -189,6 +189,14 @@ class MonomialSweep:
         self.shape = coeff.shape[1:]
         self.coeff = coeff.reshape(len(expos), math.prod(self.shape))
 
+    @classmethod
+    def from_terms(cls, size: int, expos: np.ndarray, cols: np.ndarray, coeffs: np.ndarray) -> "MonomialSweep":
+        """coeffs[t] in column cols[t] of ``size`` on the monomial of the integer exponent row expos[t]."""
+        sweep, (union, rows) = cls.__new__(cls), np.unique(expos, axis=0, return_inverse=True)
+        sweep.expos, sweep.shape, sweep.coeff = union.astype(float), (size,), np.zeros((len(union), size))
+        sweep.coeff[rows.reshape(-1), cols] = coeffs
+        return sweep
+
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         """Values of shape (M, len(maps), n_out)."""
         # Overflow on diverging states is deliberate: solvers detect the
@@ -272,7 +280,8 @@ class PolynomialFunction(SmoothFunction):
         if key not in self._plans:
             sweeps = [MonomialSweep(self.n_in, [self.derived(a).components for a in _symmetric_gather(self.n_in, k)[0]])
                       for k in key]
-            expos, cols = np.unique(np.concatenate([s.expos for s in sweeps]), axis=0, return_inverse=True)
+            expos, cols = (sweeps[0].expos, np.arange(len(sweeps[0].expos))) if len(sweeps) == 1 else np.unique(
+                np.concatenate([s.expos for s in sweeps]), axis=0, return_inverse=True)  # one order's are distinct
             self._plans[key] = expos, list(zip(np.split(cols, np.cumsum([len(s.expos) for s in sweeps])), sweeps))
         expos, parts = self._plans[key]
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is reported by the solvers
@@ -489,21 +498,30 @@ def graded_expansion(
     contracts them with D^kφ, and one matmul with ``plan.weights`` sums them.
     """
     m, n = len(values), values.shape[2]
-    rows = values.reshape(m, values.shape[1] * n)
-    terms, weights = [], []
+    kept = []
     for (parts, w), gather in zip(plan.arities, expansion_gathers(*plan.key, n)):
         if present is not None:
             keep = present[parts].all(axis=1)
             if not keep.any():
                 continue
             w, gather = w[:, keep], [slot[keep] for slot in gather]
-        products = reduce(np.multiply, [rows.take(slot, axis=1) for slot in gather])
-        derivs = [t.reshape(m, t.shape[1], products.shape[2]) for t in tensors(len(gather))]
-        terms.append(products @ _joined(derivs, 1).swapaxes(1, 2))
-        weights.append(w)
-    if not terms:
+        kept.append((gather, w, _operand(tensors(len(gather)), m, n ** len(gather))))
+    if not kept:
         return np.zeros((m, plan.targets, width))
-    weights, terms = plan.weights if present is None else np.concatenate(weights, axis=1), _joined(terms, 1)
+    gathers, weights, operands = zip(*kept)
+    weights = plan.weights if present is None else np.concatenate(weights, axis=1)
+    return _expansion_core(values.reshape(m, values.shape[1] * n), gathers, weights, operands)
+
+
+def _operand(derivs: Sequence[np.ndarray], m: int, size: int) -> np.ndarray:
+    """D^kφ of the channels, (M, C_j) + (n,)*k each, as one (M, n^k, width) matmul operand."""
+    return _joined([t.reshape(m, t.shape[1], size) for t in derivs], 1).swapaxes(1, 2)
+
+
+def _expansion_core(rows: np.ndarray, gathers, weights: np.ndarray | None, operands) -> np.ndarray:
+    """Per arity, the product of one take of ``rows`` per gather slot times its operand, joined and weighted."""
+    terms = _joined([reduce(np.multiply, [rows.take(s, axis=1) for s in gather]) @ operand
+                     for gather, operand in zip(gathers, operands)], 1)
     return terms if weights is None else weights @ terms
 
 
@@ -607,22 +625,41 @@ def product_partial(factors: Sequence[ScalarFactor], x: np.ndarray, alpha: Alpha
 # Serialization.
 # ---------------------------------------------------------------------------
 
+def _checked(value, where: str, exponent: bool = False):
+    """A finite float, or for ``exponent`` an integer >= 0, from a number that is not a bool; else a ValueError."""
+    number = float(value) if isinstance(value, (int, float, np.number)) and not isinstance(value, bool) else math.nan
+    if exponent and not (number.is_integer() and number >= 0):
+        raise ValueError(f"{where}: exponent {value!r} is not a non-negative integer")
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: {value!r} is not a finite number")
+    return int(number) if exponent else number
+
+
 def function_from_json_dict(data: dict) -> SmoothFunction:
-    family = data.get("family")
+    """A function from its JSON form, checked: finite numbers, exponents integers >= 0 (not bools), no monomial
+    twice in a component; a ValueError names the component and the term."""
+    family, comps = data.get("family"), data.get("components", [])
+    terms = [(c, t, f"component {c}, term {j}") for c, comp in enumerate(comps) for j, t in enumerate(comp)]
     if family == "polynomial":
-        comps = [
-            {tuple(t["exponents"]): float(t["coeff"]) for t in comp}
-            for comp in data["components"]
-        ]
+        comps = [{} for _ in data["components"]]
+        for c, t, where in terms:
+            expo = tuple(_checked(e, where, exponent=True) for e in t["exponents"])
+            if expo in comps[c]:
+                raise ValueError(f"{where}: exponents {list(expo)} listed twice")
+            comps[c][expo] = _checked(t["coeff"], where)
         return PolynomialFunction(int(data["n_in"]), comps)
     if family == "trig":
-        comps = [
-            [(float(t["amp"]), t["wave"], float(t["phase"])) for t in comp]
-            for comp in data["components"]
-        ]
+        comps = [[] for _ in data["components"]]
+        for c, t, where in terms:
+            wave = [_checked(k, where) for k in t["wave"]]
+            comps[c].append((_checked(t["amp"], where), wave, _checked(t["phase"], where)))
         return TrigPolynomial(int(data["n_in"]), comps)
     if family == "affine":
-        return PolynomialFunction.affine(data["matrix"], data.get("offset"))
+        matrix, offset = np.atleast_2d(np.asarray(data["matrix"], dtype=float)), data.get("offset")
+        for what, array in (("matrix", matrix), ("offset", np.asarray([] if offset is None else offset, dtype=float))):
+            for idx in np.argwhere(~np.isfinite(array))[:1]:
+                _checked(array[tuple(idx)], f"{what} component {', term '.join(map(str, idx))}")
+        return PolynomialFunction.affine(matrix, offset)
     if family == "named":
         name = data["name"]
         n = int(data["n"])

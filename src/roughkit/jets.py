@@ -12,19 +12,14 @@ lift at (x, y_1, …, y_k) is the partition sum
 
 i.e. exactly the p-th derivative of f composed with a map whose jets are
 the y's.  For a symmetric D^q f this partition sum is the deshuffle sum
-Σ_k (1/k!) Σ m·D^k f(V_{u_1}, …, V_{u_k}) of ``graded_expansion``, the
-kernel that builds the derived fields.  With the canonical initial data
-(x, I, 0, …, 0) the solution carries D^p X^{s,x}_t in its p-th block.
-
-Two stepping routes are provided and tested equal:
-
-* "extended": run the derived-field machinery directly on the lifted
-  fields and Davie-step in S;
-* "composed": per cell, form the local jets Σ_w D^pF_w(x)⟨g, e_w⟩ of the
-  Davie map and chain them onto the accumulated jets by the composition
-  rule for jets (the same deshuffle sum).  This is algebraically the same
-  update with the lift of the whole Davie map instead of per-field lifts,
-  and is much cheaper for repeated queries.
+Σ_k (1/k!) Σ m·D^k f(V_{u_1}, …, V_{u_k}): one graded expansion through
+``functions._expansion_core``, the kernel that also builds the derived
+fields.  With the canonical initial data (x, I, 0, …, 0) the solution
+carries D^p X^{s,x}_t in its p-th block.  Two stepping routes are tested
+equal: "extended" Davie-steps the lifted fields in S; "composed" chains the
+Davie map's local jets Σ_w D^pF_w(x)⟨g, e_w⟩ onto the jets by that
+expansion, read straight from the columns of one packed (rows, dim) state
+in ``JetSpace.pack`` layout: the same update, much cheaper.
 """
 
 from __future__ import annotations
@@ -37,9 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import GroupTensor, expansion_plan, words_up_to
+from .algebra import GroupTensor, expansion_gathers, expansion_plan, words_up_to
 from .errors import NumericalFailure
-from .functions import SmoothFunction, graded_expansion
+from .functions import SmoothFunction, _expansion_core, _operand
 from .rde import DerivedFieldTable, VectorFieldSystem, _ragged_steps, as_batch, derive_fields, solve_rde
 from .regression import OrderCheck, order_checks
 from .roughpath import GeometricRoughPath
@@ -90,17 +85,25 @@ class JetSpace:
         """(x, I, 0, …, 0): the flow-derivative initial condition, per row
         for a batch x of shape (M, n)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        batch = x.shape[:-1]
-        blocks = [x, np.broadcast_to(np.eye(self.n), batch + (self.n, self.n))]
-        for p in range(2, self.jet_order + 1):
-            blocks.append(np.zeros(batch + (self.n,) * (p + 1)))
-        return self.pack(blocks)
+        state = np.zeros(x.shape[:-1] + (self.dim,))
+        state[..., : self.n], state[..., self.n : self.offsets[2]] = x, np.eye(self.n).ravel()
+        return state
 
     def coordinate(self, flat_index: int) -> tuple[int, tuple[int, ...]]:
         """Map a flattened coordinate to (block, entry multi-index)."""
         p = int(np.searchsorted(self.offsets, flat_index, side="right") - 1)
         local = flat_index - self.offsets[p]
         return p, tuple(int(i) for i in np.unravel_index(local, self.block_shapes[p]))
+
+
+@lru_cache(maxsize=None)
+def _packed_plan(n: int, jet_order: int) -> tuple[tuple, np.ndarray | None, np.ndarray]:
+    """``expansion_plan(n, 1, jet_order)`` on ``JetSpace.pack`` rows: its gathers composed with that layout (values
+    entry u·n + c is entry [c, u] of block |u|), its weights, and the take from (targets, n) back to blocks 1..p."""
+    space = JetSpace(n, jet_order)
+    packed = np.concatenate([b.reshape(n, -1).T.ravel() for b in space.unpack(np.arange(space.dim))]).astype(np.intp)
+    gathers = tuple(tuple(packed[slot] for slot in arity) for arity in expansion_gathers(n, 1, jet_order, n))
+    return gathers, expansion_plan(n, 1, jet_order).weights, np.argsort(packed)[n:] - n
 
 
 def jet_compose(outer_stack: list[np.ndarray], inner_blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -112,21 +115,21 @@ def jet_compose(outer_stack: list[np.ndarray], inner_blocks: list[np.ndarray]) -
     base point.  Block p at a level-p word w over {1..n} is the deshuffle
     sum Σ_k (1/k!) Σ m·D^k outer(V_{u_1}, …, V_{u_k}) with V_u the entries
     [..., :, u−1] of inner_blocks[|u|] (not necessarily symmetric): one
-    ``graded_expansion`` on ``expansion_plan(n, 1, jet_order)`` for all w.
+    graded expansion (``_packed_plan``) on the packed inner blocks for all w.
     Leading batch axes, shared by all operands, are carried through.
     """
     jet_order = len(inner_blocks) - 1
+    if jet_order == 0:
+        return [outer_stack[0]]
     batch, n = np.shape(inner_blocks[0])[:-1], np.shape(inner_blocks[0])[-1]
     m, width = math.prod(batch), np.shape(outer_stack[0])[-1]
-    # (M, W, n): V_u at u's dense index, the argument slots flattened in C order.
-    values = np.concatenate([np.reshape(b, (m, n, n**p)) for p, b in enumerate(inner_blocks)], axis=2).swapaxes(1, 2)
-    out = graded_expansion(
-        lambda k: [np.reshape(outer_stack[k], (m, width, n**k))], values, expansion_plan(n, 1, jet_order), width
-    ).swapaxes(1, 2)
+    packed = np.concatenate([np.reshape(b, (m, n ** (p + 1))) for p, b in enumerate(inner_blocks)], axis=1)
+    gathers, weights, _ = _packed_plan(n, jet_order)
+    operands = [_operand([np.reshape(outer_stack[k], (m, width, n**k))], m, n**k) for k in range(1, jet_order + 1)]
+    out = _expansion_core(packed, gathers, weights, operands).swapaxes(1, 2)
     ends = np.cumsum([n**p for p in range(jet_order + 1)]) - 1
-    return [outer_stack[0]] + [
-        out[:, :, ends[p - 1]: ends[p]].reshape(batch + (width,) + (n,) * p) for p in range(1, jet_order + 1)
-    ]
+    return [outer_stack[0]] + [out[:, :, ends[p - 1]: ends[p]].reshape(batch + (width,) + (n,) * p)
+                               for p in range(1, jet_order + 1)]
 
 
 def jet_apply(outer_stack: list[np.ndarray], inner_blocks: list[np.ndarray], p: int) -> np.ndarray:
@@ -300,31 +303,35 @@ def terminal_flow_jets(
     each on its own partition, which need not share an end: the rows are
     ordered by decreasing cell count, and step k advances the rows (a
     prefix) whose partition has a k-th cell counted back from its end, each
-    against its own increment.  Only the current jets are kept; ``on_step``
-    sees them before the first step and after each one.
+    against its own increment.  The jets are one packed (S·M, dim) state
+    whose views are the blocks, and each cell's Davie jets are chained
+    through its own columns (``_packed_plan``).  Only the current jets are
+    kept; ``on_step`` sees them before the first step and after each one.
     """
     if driver.dim != system.d:
         raise ValueError("driver dimension must match the number of fields")
     xs, _ = as_batch(x0, system.n)
     if table is None:
         table = derive_fields(system, driver.level)
-    m, space = len(xs), JetSpace(system.n, jet_order)
+    m, n, space = len(xs), system.n, JetSpace(system.n, jet_order)
     order, steps = _ragged_steps(driver, partitions, np.repeat(np.arange(len(partitions)), m))
-    current = space.unpack(space.canonical_state(np.tile(xs, (len(partitions), 1))[order]))
+    state = space.canonical_state(np.tile(xs, (len(partitions), 1))[order])
+    current, (gathers, weights, back) = space.unpack(state), _packed_plan(n, jet_order)
     if on_step is not None:
         on_step(current)
     for live, g, cell in steps:
-        jets = [b[:live] for b in current]
-        blocks = table.jet_stacks(jets[0], jet_order).array
-        jets = jet_compose([np.einsum("aw,aw...->a...", g, b.swapaxes(0, 1)) for b in blocks], jets)
-        finite = np.logical_and.reduce([np.isfinite(b).reshape(live, -1).all(axis=1) for b in jets])
+        rows = state[:live]
+        stacks = table.jet_stacks(rows[:, :n], jet_order).array
+        davie = [np.einsum("aw,aw...->a...", g, b.swapaxes(0, 1)) for b in stacks]
+        operands = [_operand([b], live, n**k) for k, b in enumerate(davie[1:], 1)]
+        chained = _expansion_core(rows, gathers, weights, operands)
+        rows[:, :n], rows[:, n:] = davie[0], chained.reshape(live, chained.shape[1] * n).take(back, axis=1)
+        finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
             start = "" if len(partitions) == 1 else f" from s={partitions[order[bad] // m][0]:.6g}"
             row = "" if m == 1 else f", row {order[bad] % m}"
             raise NumericalFailure(f"solve_flow_jets: blow-up on cell index {cell[bad]}{start}{row}")
-        for block, new in zip(current, jets):
-            block[:live] = new
         if on_step is not None:
             on_step(current)
     # Back from the descending-length order to the partitions' order.

@@ -30,8 +30,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, GroupTensor, Word, deshuffles, expansion_plan, graded_shift, words_up_to
-from .algebra import _letter_index
+from .algebra import EMPTY_WORD, GroupTensor, Word, deshuffles, expansion_gathers, expansion_plan, graded_shift
+from .algebra import _letter_index, words_up_to
 from .controlled import ControlledPath, compose, rough_integral
 from .errors import NumericalFailure
 from .functions import (
@@ -40,12 +40,13 @@ from .functions import (
     PolynomialFunction,
     SmoothFunction,
     TrigPolynomial,
+    _expansion_core,
+    _operand,
     _poly_diff,
     _symmetric_gather,
     compose_partial,
     function_from_json_dict,
     function_to_json_dict,
-    graded_expansion,
     poly_add,
     poly_mul,
     product_partial,
@@ -196,7 +197,7 @@ class DerivedFieldTable:
         self.system = system
         self.depth = int(depth)
         self.polynomial = all(isinstance(f, PolynomialFunction) for f in system.fields)
-        self._stack_cache: dict[int, MonomialSweep] = {}
+        self._stack_cache: dict[int, tuple[MonomialSweep, list[np.ndarray]]] = {}
         self._fields: dict[Word, SmoothFunction] = {EMPTY_WORD: PolynomialFunction.identity(system.n)}
 
     @property
@@ -224,18 +225,19 @@ class DerivedFieldTable:
         backs ``field``; the two routes agreeing is a library invariant.
         ``x`` is one point (n,) or a batch (M, n), M >= 0; each value has x's shape,
         and ``array`` is (W, n) or (W, M, n).  Each ``stacked`` field part gives
-        orders 0..depth−1 in one ``deriv_tensors`` call, and each level is one
-        ``graded_expansion``.
+        orders 0..depth−1 in one ``deriv_tensors`` call, joined into each
+        order's operand once for all levels; each level is one ``_expansion_core``.
         """
         xs, single = as_batch(x, self.system.n)
         d, n, m = self.system.d, self.system.n, len(xs)
         orders = list(zip(*(f.deriv_tensors(xs, range(self.depth)) for f in self.system.stacked)))
+        operands = [_operand(orders[k], m, n**k) for k in range(1, self.depth)]
         # (M, words·n): F_w(x) for the words built so far, in canonical order.
         rows = np.concatenate((xs,) + orders[0], axis=1)
         for level in range(1, self.depth):
             # Heads h of length level by field letter i: F_{h·i} in canonical order.
-            plan = expansion_plan(d, level, level)
-            block = graded_expansion(orders.__getitem__, rows.reshape(m, rows.shape[1] // n, n), plan, d * n)
+            gathers, weights = expansion_gathers(d, level, level, n), expansion_plan(d, level, level).weights
+            block = _expansion_core(rows, gathers, weights, operands[:level])
             rows = np.concatenate([rows, block.reshape(m, block.shape[1] * d * n)], axis=1)
         vals = rows.reshape(m, rows.shape[1] // n, n)
         return WordArrays(d, self.depth, vals[0] if single else vals.swapaxes(0, 1))
@@ -255,9 +257,9 @@ class DerivedFieldTable:
         of one C-ordered (M, W, n, …) array: the per-row contraction's operand.
 
         A polynomial table evaluates the partials ∂^α F_w of every sorted
-        multi-index α and word in one compiled monomial sweep and gathers
-        them into the full symmetric tensors by a precomputed index; a
-        generic table takes each word's orders from one ``deriv_tensors``.
+        multi-index α and word in one compiled monomial sweep and one matmul,
+        and takes each order's block from it by one flat index; a generic
+        table takes each word's orders from one ``deriv_tensors``.
         """
         n = self.system.n
         xs, single = as_batch(x, n)
@@ -265,19 +267,33 @@ class DerivedFieldTable:
             jets = [self.field(w).deriv_tensors(xs, range(pmax + 1)) for w in self.words]
             rows = [np.stack(orders, axis=1) for orders in zip(*jets)]
         else:
-            orders = [_symmetric_gather(n, p) for p in range(pmax + 1)]
-            alphas = [alpha for order, _ in orders for alpha in order]
-            offsets = np.cumsum([0] + [len(order) for order, _ in orders])
-            sweep = self._stack_cache.get(pmax)
-            if sweep is None:
-                maps = [self.field(w).derived(alpha).components for alpha in alphas for w in self.words]
-                sweep = MonomialSweep(n, maps)
-                self._stack_cache[pmax] = sweep
-            # (M, W·n, α) once, then per order the gather of its arguments: (M, W, n, n, …, n).
-            shape = (len(xs), len(self.words), n)
-            vals = np.ascontiguousarray(sweep(xs).reshape(len(xs), len(alphas), shape[1] * n).swapaxes(1, 2))
-            rows = [vals.take(idx + offsets[p], axis=2).reshape(shape + (n,) * p) for p, (_, idx) in enumerate(orders)]
+            (sweep, takes), shape = self._jet_plan(pmax), (len(xs), len(self.words))
+            vals = sweep(xs)  # (M, α·W·n)
+            rows = [vals.take(flat, axis=1).reshape(shape + (n,) * (p + 1)) for p, flat in enumerate(takes)]
         return WordArrays(self.system.d, self.depth, [r[0] if single else r.swapaxes(0, 1) for r in rows])
+
+    def _jet_plan(self, pmax: int) -> tuple[MonomialSweep, list[np.ndarray]]:
+        """The sweep of all ∂^α F_w, sorted α of order <= pmax, by (α, word, component), and each order's flat
+        take; built once per pmax from exponent arrays, letter by letter as ``_poly_diff`` rounds."""
+        plan = self._stack_cache.get(pmax)
+        if plan is None:
+            n, size = self.system.n, len(self.words) * self.system.n
+            comps = [comp for w in self.words for comp in self.field(w).components]
+            cols = np.repeat(np.arange(size), [len(comp) for comp in comps])
+            expos = np.array([e for comp in comps for e in comp], dtype=np.intp).reshape(len(cols), n)
+            coeffs = np.array([v for comp in comps for v in comp.values()], dtype=float)
+            orders, parts = [_symmetric_gather(n, p) for p in range(pmax + 1)], []
+            for a, alpha in enumerate(alpha for order, _ in orders for alpha in order):
+                e, v = expos.copy(), coeffs
+                for j in (letter - 1 for letter in alpha):
+                    v, e[:, j] = v * e[:, j], e[:, j] - 1
+                keep = (e >= 0).all(axis=1) & (v != 0.0)  # a letter met exponent 0, or the coefficient is 0.0
+                parts.append((e[keep], a * size + cols[keep], v[keep]))
+            starts = np.cumsum([0] + [len(order) for order, _ in orders])
+            sweep = MonomialSweep.from_terms(int(starts[-1]) * size, *map(np.concatenate, zip(*parts)))
+            takes = [((idx + starts[p]) * size + np.arange(size)[:, None]).ravel() for p, (_, idx) in enumerate(orders)]
+            plan = self._stack_cache[pmax] = sweep, takes
+        return plan
 
 
 def as_batch(x, n: int, what: str = "point") -> tuple[np.ndarray, bool]:
