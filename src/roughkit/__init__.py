@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them.
 _EXPORTS = {
     "algebra": (
-        "EMPTY_WORD", "CharacterCheck", "DeshuffleTable", "GroupTensor", "TruncatedTensor", "Word",
-        "antipode", "convolution", "deconcat", "deshuffles", "group_distance", "group_inverse",
-        "homogeneous_norm", "is_character", "max_coeff_diff", "shuffle", "shuffle_coefficient",
-        "tensor_exp", "tensor_log", "word", "words_of_length", "words_up_to",
+        "EMPTY_WORD", "GroupTensor", "TruncatedTensor", "Word", "antipode", "convolution", "group_distance",
+        "group_inverse", "homogeneous_norm", "max_coeff_diff", "tensor_exp", "tensor_log", "word",
+        "words_of_length", "words_up_to",
     ),
     "controlled": (
         "ControlledPath", "ControlledNorms", "RoughIntegralResult", "check_controlled", "compose",
@@ -51,9 +50,11 @@ _EXPORTS = {
         "TransportProblem", "duality_check", "push_measure", "solve_continuity", "solve_transport",
         "verify_continuity", "verify_transport",
     ),
+    "shuffles": ("CharacterCheck", "DeshuffleTable", "deconcat", "deshuffles", "is_character", "shuffle",
+                 "shuffle_coefficient"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {*_EXPORTS, "cli", "selftest"}
+_SUBMODULES = {*_EXPORTS, "cli", "commands", "selftest"}
 
 __all__ = sorted(_OWNER)
 

@@ -27,10 +27,11 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, Word, _letter_index, expansion_plan, graded_shift, shift_table, words_up_to
+from .algebra import EMPTY_WORD, Word, _letter_index, words_up_to
 from .functions import SmoothFunction, graded_expansion
 from .regression import SLOPE_MARGIN, OrderCheck, dyadic_pairs, order_checks, pair_arrays
 from .roughpath import GeometricRoughPath, grid_index
+from .shuffles import expansion_plan, graded_shift, shift_table
 
 
 class ControlledPath:

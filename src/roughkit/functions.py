@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import ExpansionPlan, Word, deshuffles, expansion_gathers
+from .algebra import Word
+from .shuffles import ExpansionPlan, deshuffles, expansion_gathers
 
 Alpha = tuple[int, ...]
 

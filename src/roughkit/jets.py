@@ -32,12 +32,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import GroupTensor, expansion_gathers, expansion_plan, words_up_to
+from .algebra import GroupTensor, words_up_to
 from .errors import NumericalFailure
 from .functions import SmoothFunction, _expansion_core, _operand
 from .rde import DerivedFieldTable, VectorFieldSystem, _ragged_steps, as_batch, derive_fields, solve_rde
 from .regression import OrderCheck, order_checks
 from .roughpath import GeometricRoughPath
+from .shuffles import expansion_gathers, expansion_plan
 
 
 @lru_cache(maxsize=None)
@@ -71,8 +72,9 @@ class JetSpace:
     def pack(self, blocks: list[np.ndarray]) -> np.ndarray:
         """Flatten blocks into one vector, or one row per point when the
         blocks carry a leading batch axis."""
-        batch = np.shape(blocks[0])[:-1]
-        return np.concatenate([np.asarray(b, dtype=float).reshape(batch + (-1,)) for b in blocks], axis=-1)
+        batch, sizes = np.shape(blocks[0])[:-1], np.diff(self.offsets).tolist()
+        flat = [np.asarray(b, dtype=float).reshape(batch + (k,)) for b, k in zip(blocks, sizes)]
+        return np.concatenate(flat, axis=-1)
 
     def unpack(self, z: np.ndarray) -> list[np.ndarray]:
         z = np.asarray(z, dtype=float)

@@ -30,8 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, GroupTensor, Word, deshuffles, expansion_gathers, expansion_plan, graded_shift
-from .algebra import _letter_index, words_up_to
+from .algebra import EMPTY_WORD, GroupTensor, Word, _letter_index, words_up_to
 from .controlled import ControlledPath, compose, rough_integral
 from .errors import NumericalFailure
 from .functions import (
@@ -53,6 +52,7 @@ from .functions import (
 )
 from .regression import SLOPE_MARGIN, OrderCheck, dyadic_pairs, order_checks, pair_arrays
 from .roughpath import GeometricRoughPath
+from .shuffles import deshuffles, expansion_gathers, expansion_plan, graded_shift
 
 
 class VectorFieldSystem:

@@ -18,22 +18,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .algebra import (
-    GroupTensor,
-    TruncatedTensor,
-    Word,
-    _letter_index,
-    _wrap,
-    convolution,
-    group_inverse,
-    is_character,
-    tensor_exp,
-    tensor_log,
-    words_up_to,
-)
+from .algebra import GroupTensor, TruncatedTensor, Word, _letter_index, _product, _wrap
+from .algebra import convolution, group_inverse, tensor_exp, tensor_log, words_up_to
 from .errors import NumericalFailure
 
 
@@ -125,17 +115,32 @@ def parse_csv(text: str, first: str) -> tuple[list[str], np.ndarray]:
     return header, rows
 
 
+def _write_text(path: str, text: str):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _read_csv(path: str, parse: Callable):
+    """``parse`` of the text of a CSV file, its errors naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+
+
 def _segment_exp(delta: np.ndarray, level: int) -> GroupTensor:
     return tensor_exp(TruncatedTensor.from_vector(delta, level))
 
 
 def _running_products(steps: TruncatedTensor) -> GroupTensor:
-    """The identity, then s_1, s_1 ⋆ s_2, … for a (C, size) batch: (C+1, size)."""
+    """The identity, then s_1, s_1 ⋆ s_2, … for a (C, size) batch: (C+1, size), each
+    product the one ``convolution`` forms, without wrapping its factors."""
     d, level = steps.dim, steps.level
     out = np.empty((len(steps.array) + 1, steps.array.shape[1]))
     out[0] = TruncatedTensor.unit(d, level).array
     for k, row in enumerate(steps.array):
-        out[k + 1] = convolution(_wrap(d, level, out[k]), _wrap(d, level, row)).array
+        out[k + 1] = _product(out[k], row, d, level, False)
     return GroupTensor(_wrap(d, level, out))
 
 
@@ -348,6 +353,8 @@ class GeometricRoughPath:
         finite = np.isfinite(stacked).all(axis=1)
         if not finite.all():
             raise ValueError(f"basepoint {int(np.argmin(finite))} has a non-finite coefficient")
+        from .shuffles import is_character
+
         path = cls(float(data["gamma"]), level, times, GroupTensor(_wrap(d, level, stacked)))
         violation = is_character(path._tensor(stacked)).violation
         scale = np.maximum(1.0, np.max(np.abs(stacked), axis=1))
@@ -416,8 +423,8 @@ def solve_partition(driver: GeometricRoughPath, s: float, t: float, mesh: float)
     n_cells = max(1, int(math.ceil((t - s) / mesh - 1e-12)))
     base = np.linspace(s, t, n_cells + 1)
     knots = driver.times[(driver.times > s + 1e-12) & (driver.times < t - 1e-12)]
-    merged = np.unique(np.concatenate([base, knots]))
-    # Collapse near-duplicates from the merge.
+    merged = np.sort(np.concatenate([base, knots]))
+    # Collapse duplicates and near-duplicates from the merge.
     keep = np.concatenate([[True], np.diff(merged) > 1e-12])
     return merged[keep]
 

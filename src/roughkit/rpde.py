@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Word, expansion_plan, graded_shift, words_up_to
+from .algebra import Word, words_up_to
 from .errors import NumericalFailure
 from .functions import JetFunction, SmoothFunction, graded_expansion
 from .jets import jet_compose, terminal_flow_jets
@@ -47,6 +47,7 @@ from .rde import (
 )
 from .regression import SLOPE_MARGIN, OrderCheck, dyadic_pairs, order_checks, pair_arrays
 from .roughpath import GeometricRoughPath, solve_partition
+from .shuffles import expansion_plan, graded_shift
 
 
 @dataclass(frozen=True)
@@ -363,7 +364,8 @@ def push_measure(
     table = derive_fields(fields, driver.level)
     end = float(times[-1])
     partition = solve_partition(driver, 0.0, end, mesh)
-    partition = np.unique(np.concatenate([partition, times]))
+    partition = np.sort(np.concatenate([partition, times]))
+    partition = partition[np.concatenate([[True], partition[1:] != partition[:-1]])]
     sample_idx = [int(np.argmin(np.abs(partition - t))) for t in times]
     states = solve_rde(mu.points, fields, driver, partition, table=table).states
     return ParticleEvolution(times=times, positions=states[sample_idx], weights=mu.weights.copy())

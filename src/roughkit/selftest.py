@@ -16,18 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (
-    EMPTY_WORD,
-    TruncatedTensor,
-    Word,
-    convolution,
-    deshuffles,
-    group_inverse,
-    is_character,
-    max_coeff_diff,
-    shuffle_word_multiset,
-    words_of_length,
-)
+from .algebra import EMPTY_WORD, TruncatedTensor, Word, convolution, group_inverse, max_coeff_diff, words_of_length
 from .controlled import ControlledPath, _remainders, check_controlled, compose, coordinate_lift, rough_integral
 from .functions import JetFunction, PolynomialFunction, SmoothFunction, TrigPolynomial, compose_partial
 from .jets import partial_davie_check, set_partitions, solve_flow_jets
@@ -44,6 +33,7 @@ from .rpde import (
     verify_continuity,
     verify_transport,
 )
+from .shuffles import deshuffles, is_character, shuffle_word_multiset
 
 
 @dataclass(frozen=True)
