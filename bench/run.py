@@ -17,7 +17,8 @@ its set-up, on perfbench's seed-0 fixtures (``perfbench/inputs.py``):
 - ``tier1``: one run of the tier-1 suite;
 - ``layer.*``: warm per-call seconds of the sequential Davie path on the
   ``solve-long`` fixture (trig fields, n = 3, d = 2, N = 3), each the median
-  of LAYER_CALLS calls in its subprocess: ``values_at`` at one point and at
+  of LAYER_CALLS calls in a subprocess of its own per repeat, so that no two
+  rows share a process's fast or slow mode: ``values_at`` at one point and at
   the 513 solved states, ``solve_rde`` over the 512 on-grid cells, the
   ``graded_expansion`` call ``compose`` makes for one field on the
   513-point lift that ``rde --residual`` integrates, and the whole
@@ -72,7 +73,7 @@ def child(workload: str, job: str, directory: str) -> dict:
     import numpy  # noqa: F401  (loaded before the clock, as in perfbench)
 
     if workload == "layers":
-        return layers(directory)
+        return layers(directory, job)
     if workload == "selftest":
         start = time.perf_counter()
         from roughkit.cli import main
@@ -101,8 +102,9 @@ def child(workload: str, job: str, directory: str) -> dict:
     return parts
 
 
-def layers(directory: str) -> dict:
-    """Median warm seconds per call of each ``layer.*`` row."""
+def layers(directory: str, name: str) -> dict:
+    """Median warm seconds per call of the ``layer.<name>`` row; the fixtures
+    of every row are built, and only this row is timed."""
     import dataclasses
 
     import numpy as np
@@ -168,17 +170,13 @@ def layers(directory: str) -> dict:
         "derive_fields.table": lambda: derive_fields(system_t, driver_t.level),
         "jet_stacks.fresh": lambda: derive_fields(system_t, driver_t.level).jet_stacks(grid, 3),
     }
-    out = {}
-    for name, call in calls.items():
+    call, seconds = calls[name], []
+    call()
+    for _ in range(LAYER_CALLS[name]):
+        start = time.perf_counter()
         call()
-        seconds = []
-        for _ in range(LAYER_CALLS[name]):
-            start = time.perf_counter()
-            call()
-            seconds.append(time.perf_counter() - start)
-        out[name] = statistics.median(seconds)
-    out["exit"] = 0
-    return out
+        seconds.append(time.perf_counter() - start)
+    return {name: statistics.median(seconds), "exit": 0}
 
 
 def repeat(workload: str, job: str) -> list[tuple[dict, float]]:
@@ -260,8 +258,8 @@ def main(argv=None) -> int:
                 runs = repeat(workload, job.name)
                 rows[f"cli.{workload}.{job.name}"] = row([p[job.name] for p, _ in runs], [w for _, w in runs],
                                                          [p["exit"] for p, _ in runs])
-        runs = repeat("layers", "layers")
         for name in LAYER_CALLS:
+            runs = repeat("layers", name)
             rows[f"layer.{name}"] = row([p[name] for p, _ in runs], [w for _, w in runs], [p["exit"] for p, _ in runs])
         runs = repeat("selftest", "selftest")
         rows["selftest --fast"] = row([p["selftest"] for p, _ in runs], [w for _, w in runs],

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalFailure
-from .roughpath import PiecewiseLinearPath, _read_csv, _write_text, lift_pl, parse_csv, sample_fbm
+from .roughpath import PiecewiseLinearPath, _check_size, _read_csv, _word_count, _write_text, hoelder_level, lift_pl
+from .roughpath import parse_csv, sample_fbm
 
 # ``sig`` runs from this module alone.  The other commands' handlers and loaders live in ``commands``, which
 # ``main`` imports on their first call; their old names here still resolve to it (PEP 562).  Both modules take
@@ -63,8 +64,10 @@ def _cmd_sig(args) -> int:
             H=args.fbm_hurst, d=args.fbm_dim, knots=args.fbm_knots,
             seed=args.seed, horizon=args.horizon,
         )
+    d, level = path.dim, hoelder_level(args.gamma) if args.level is None else args.level
+    _check_size(f"level {level} (--level, or 1/--gamma) over d = {d} letters", _word_count(d, level), "words")
     with np.errstate(over="ignore", invalid="ignore"):  # to_json names a knot that overflowed
-        rough = lift_pl(path, gamma=args.gamma, level=args.level)
+        rough = lift_pl(path, gamma=args.gamma, level=level)
     _write_text(args.out, rough.to_json() + "\n")
     print(f"sig: wrote level-{rough.level} lift of {len(path.times)} knots to {args.out}")
     return 0

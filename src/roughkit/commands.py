@@ -12,7 +12,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .roughpath import GeometricRoughPath, PiecewiseLinearPath, _read_csv, _write_text, parse_csv, solve_partition
+from .roughpath import GeometricRoughPath, PiecewiseLinearPath, _check_size, _read_csv, _word_count, _write_text
+from .roughpath import parse_csv, solve_partition
 
 
 def _read_json(path: str) -> dict:
@@ -69,8 +70,9 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
                 raise ValueError
         except (ValueError, IndexError):
             raise ValueError(f"bad --space-grid component {part!r}, want lo:hi:count, finite, count >= 1") from None
-        axes.append(np.linspace(lo, hi, count))
-    mesh = np.meshgrid(*axes, indexing="ij")
+        axes.append((lo, hi, count))
+    _check_size(f"--space-grid {spec}", math.prod(count for _, _, count in axes), "points")
+    mesh = np.meshgrid(*(np.linspace(*axis) for axis in axes), indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
     return [points[i] for i in range(points.shape[0])]
 
@@ -168,8 +170,11 @@ def _report_payload(args, command: str, checks: list[dict], passed: bool) -> dic
 def _cmd_verify(args) -> int:
     from .rpde import FlowSolutionOracle, duality_check, push_measure, verify_continuity, verify_transport
 
+    _check_size(f"--time-points {args.time_points}", args.time_points, "points")
     if args.target == "transport":
         problem = _build_problem(args)
+        d, level = problem.driver.dim, args.solve_level or 0
+        _check_size(f"--solve-level {level} over d = {d} letters", _word_count(d, level), "words")
         oracle = FlowSolutionOracle(problem, mesh=args.mesh, solve_level=args.solve_level)
         grid = _parse_grid(args.space_grid)
         time_grid = np.linspace(0.0, problem.horizon, args.time_points)

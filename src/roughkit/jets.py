@@ -33,9 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import GroupTensor, words_up_to
-from .errors import NumericalFailure
 from .functions import SmoothFunction, _expansion_core, _operand
-from .rde import DerivedFieldTable, VectorFieldSystem, _ragged_steps, as_batch, derive_fields, solve_rde
+from .rde import DerivedFieldTable, VectorFieldSystem, _davie_steps, as_batch, derive_fields, solve_rde
 from .regression import OrderCheck, order_checks
 from .roughpath import GeometricRoughPath
 from .shuffles import expansion_gathers, expansion_plan
@@ -301,14 +300,12 @@ def terminal_flow_jets(
     own end T_j, for every point x_m of ``x0`` (M, n): blocks[p] of shape
     (S, M) + (n,)*(p+1).
 
-    All S·M characteristics are composed-jet stepped in one ragged batch,
-    each on its own partition, which need not share an end: the rows are
-    ordered by decreasing cell count, and step k advances the rows (a
-    prefix) whose partition has a k-th cell counted back from its end, each
-    against its own increment.  The jets are one packed (S·M, dim) state
-    whose views are the blocks, and each cell's Davie jets are chained
-    through its own columns (``_packed_plan``).  Only the current jets are
-    kept; ``on_step`` sees them before the first step and after each one.
+    All S·M characteristics are composed-jet stepped as one batch by
+    ``rde._davie_steps``, each on its own partition (their ends may differ).
+    The jets are one packed (S·M, dim) state whose views are the blocks, and
+    each cell's Davie jets are chained through its own columns
+    (``_packed_plan``).  ``on_step`` sees the current jets, the only ones
+    kept, in the stepper's row order before the first step and after each.
     """
     if driver.dim != system.d:
         raise ValueError("driver dimension must match the number of fields")
@@ -316,29 +313,23 @@ def terminal_flow_jets(
     if table is None:
         table = derive_fields(system, driver.level)
     m, n, space = len(xs), system.n, JetSpace(system.n, jet_order)
-    order, steps = _ragged_steps(driver, partitions, np.repeat(np.arange(len(partitions)), m))
-    state = space.canonical_state(np.tile(xs, (len(partitions), 1))[order])
-    current, (gathers, weights, back) = space.unpack(state), _packed_plan(n, jet_order)
-    if on_step is not None:
-        on_step(current)
-    for live, g, cell in steps:
-        rows = state[:live]
+    gathers, weights, back = _packed_plan(n, jet_order)
+
+    def advance(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
         stacks = table.jet_stacks(rows[:, :n], jet_order).array
         davie = [np.einsum("aw,aw...->a...", g, b.swapaxes(0, 1)) for b in stacks]
-        operands = [_operand([b], live, n**k) for k, b in enumerate(davie[1:], 1)]
+        operands = [_operand([b], len(rows), n**k) for k, b in enumerate(davie[1:], 1)]
         chained = _expansion_core(rows, gathers, weights, operands)
-        rows[:, :n], rows[:, n:] = davie[0], chained.reshape(live, chained.shape[1] * n).take(back, axis=1)
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            start = "" if len(partitions) == 1 else f" from s={partitions[order[bad] // m][0]:.6g}"
-            row = "" if m == 1 else f", row {order[bad] % m}"
-            raise NumericalFailure(f"solve_flow_jets: blow-up on cell index {cell[bad]}{start}{row}")
-        if on_step is not None:
-            on_step(current)
-    # Back from the descending-length order to the partitions' order.
-    rank = np.argsort(order)
-    return [b[rank].reshape((len(partitions), m) + b.shape[1:]) for b in current]
+        return np.concatenate([davie[0], chained.reshape(len(rows), chained.shape[1] * n).take(back, axis=1)], axis=1)
+
+    def blew_up(row: int, cell: int) -> str:
+        start = "" if len(partitions) == 1 else f" from s={partitions[row // m][0]:.6g}"
+        return f"solve_flow_jets: blow-up on cell index {cell}{start}" + ("" if m == 1 else f", row {row % m}")
+
+    owners, state = np.repeat(np.arange(len(partitions)), m), space.canonical_state(np.tile(xs, (len(partitions), 1)))
+    final = _davie_steps(driver, partitions, owners, state, advance, blew_up,
+                         lambda rows: on_step and on_step(space.unpack(rows)))
+    return [b.reshape((len(partitions), m) + b.shape[1:]) for b in space.unpack(final)]
 
 
 def solve_flow_jets(

@@ -9,10 +9,11 @@ built two independent ways:
 * shuffle form: F_{w·i} = Σ_k (1/k!) Σ m·D^k f_i(F_{u_1}, …, F_{u_k}) over
   deshuffle tuples weighted by shuffle multiplicity, evaluated bottom-up.
 
-One Davie step over a cell with increment g maps x to Σ_w F_w(x)⟨g, e_w⟩.
-The solution lift stores ⟨e_w*, X_t⟩ = F_w(X_t), and the fixed-point
-residual of the integral formulation can be checked a posteriori through
-the rough integral.
+One Davie step over a cell with increment g maps x to Σ_w F_w(x)⟨g, e_w⟩;
+``_davie_steps`` is the one loop that applies it, for ``solve_rde``,
+``rpde.solve_transport`` and ``jets.terminal_flow_jets``.  The solution lift
+stores ⟨e_w*, X_t⟩ = F_w(X_t), and the fixed-point residual of the integral
+formulation can be checked a posteriori through the rough integral.
 
 The module also houses the Γ_w differential operators (shuffle formula and
 iterated first-order composition; test references only), the Itô identity,
@@ -388,9 +389,9 @@ def solve_rde(
 
     ``x0`` is one initial state (n,) or a batch (M, n); a batch is stepped
     as one array per cell against one shared increment, at the driver's own
-    truncation level; the increments of all cells come from one batch.
-    Blow-up raises NumericalFailure naming the cell (and the row, for a
-    batch).  The controlled lift is built lazily by ``path``.
+    truncation level (``_davie_steps``).  Blow-up raises NumericalFailure
+    naming the cell (and the row, for a batch).  The controlled lift is
+    built lazily by ``path``.
     """
     partition = np.asarray(partition, dtype=float)
     if partition.ndim != 1 or len(partition) < 1:
@@ -401,47 +402,58 @@ def solve_rde(
     if table is None:
         table = derive_fields(system, driver.level)
     xs, single = as_batch(x0, system.n, "initial state")
-    states = np.empty((len(partition),) + xs.shape)
-    states[0] = xs
-    # Divergence shows up as non-finite states; suppress the intermediate
-    # overflow warnings and report the offending cell instead.
-    with np.errstate(invalid="ignore", over="ignore"):
-        cells = driver.increments(partition[:-1], partition[1:]).tensor.array
-        for p, inc in enumerate(cells):
-            xs = _davie_update(table.values_at(xs), inc)
-            if not np.isfinite(xs).all():
-                row = "" if single else f", row {int(np.argmin(np.isfinite(xs).all(axis=1)))}"
-                raise NumericalFailure(
-                    f"solve_rde: state blew up on cell [{partition[p]:.6g}, "
-                    f"{partition[p + 1]:.6g}] (index {p}){row}"
-                )
-            states[p + 1] = xs
+    states, slot = np.empty((len(partition),) + xs.shape), itertools.count()  # on_step fills states[0], [1], …
+    _davie_steps(driver, [partition], np.zeros(len(xs), dtype=int), xs,
+                 lambda rows, g: _davie_update(table.values_at(rows), g[0]),
+                 lambda row, cell: f"solve_rde: state blew up on cell [{partition[cell]:.6g}, "
+                                   f"{partition[cell + 1]:.6g}] (index {cell})" + ("" if single else f", row {row}"),
+                 lambda rows: states.__setitem__(next(slot), rows))
     return RdeSolution(
         states=states[:, 0] if single else states, times=partition, table=table, driver=driver, system=system
     )
+
+
+def _davie_steps(driver: GeometricRoughPath, partitions: Sequence[np.ndarray], owners: np.ndarray, state: np.ndarray,
+                 advance: Callable, blew_up: Callable[[int, int], str], on_step: Callable = lambda state: None):
+    """Davie's scheme on each row r of ``state`` (rows, width) over ``partitions[owners[r]]`` to its end; the one
+    loop that steps a Davie state.  The rows move into ``_ragged_steps``' order, and each step replaces the live
+    rows by ``advance(rows, g)``, g their (live, W) increments.  The first step to leave a row non-finite raises
+    NumericalFailure(blew_up(row, cell)), row in the caller's order.  ``on_step`` sees the state, in the schedule's
+    order, before the first step and after each one.  Returns the final state in the caller's order."""
+    with np.errstate(invalid="ignore", over="ignore"):  # divergence is reported as a blow-up instead
+        order, steps = _ragged_steps(driver, partitions, owners)
+        state = state[order]
+        on_step(state)
+        for live, g, cell in steps:
+            rows = advance(state[:live], g)
+            if not np.isfinite(rows).all():
+                bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
+                raise NumericalFailure(blew_up(int(order[bad]), int(cell[bad])))
+            state = rows if live == len(state) else np.concatenate([rows, state[live:]])
+            on_step(state)
+    return state[np.argsort(order)]
 
 
 def _ragged_steps(driver: GeometricRoughPath, partitions: Sequence[np.ndarray], owners: np.ndarray):
     """Row r stepped on ``partitions[owners[r]]`` to its end: the row order
     by decreasing cell count, and per step k the live rows (a prefix of that
     order: those with a k-th cell counted back from the end), their (live, W)
-    increments, all from one batch, and their cells' indices."""
+    increments, all from one batch, and their cells' indices.  With one
+    partition, every row shares each step's increment and cell: broadcast views."""
     cells = np.array([len(p) - 1 for p in partitions], dtype=int)
-    by_length = np.argsort(-cells, kind="stable")
-    parts = [np.asarray(partitions[j], dtype=float) for j in by_length]
-    incs = driver.increments(np.concatenate([p[:-1] for p in parts]), np.concatenate([p[1:] for p in parts]))
-    first = (np.cumsum(cells[by_length]) - cells[by_length])[np.argsort(by_length)]  # each partition's row in incs
+    incs = driver.increments(np.concatenate([p[:-1] for p in partitions] + [[]]),  # [[]]: a batch of no cells too
+                             np.concatenate([p[1:] for p in partitions] + [[]])).tensor.array
     order = np.argsort(-cells[owners], kind="stable")
-    counts, first = cells[owners[order]], first[owners[order]]
+    rows, counts = len(order), cells[owners[order]]
     longest = int(counts.max(initial=0))
-
-    def steps():
-        for k in range(longest):
-            live = int(np.count_nonzero(counts >= longest - k))
-            cell = k - (longest - counts[:live])
-            yield live, incs.tensor.array[first[:live] + cell], cell
-
-    return order, steps()
+    if len(partitions) == 1:
+        shared = (longest, rows)
+        return order, zip(itertools.repeat(rows), np.broadcast_to(incs[:longest, None], shared + incs.shape[1:]),
+                          np.broadcast_to(np.arange(longest)[:, None], shared))
+    first = (np.cumsum(cells) - cells)[owners[order]]  # each row's first cell in incs
+    cell = np.arange(longest)[:, None] - (longest - counts)  # (step, row): negative before the row's first cell
+    live = (cell >= 0).sum(axis=1)
+    return order, ((n, incs.take(at[:n], axis=0), c[:n]) for n, at, c in zip(live, first + cell, cell))
 
 
 # ---------------------------------------------------------------------------

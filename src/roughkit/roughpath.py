@@ -27,6 +27,19 @@ from .algebra import convolution, group_inverse, tensor_exp, tensor_log, words_u
 from .errors import NumericalFailure
 
 
+def _check_size(what: str, count: float, unit: str) -> None:
+    """Reject ``what`` (an option or file entry, and its value) if it needs more words, cells or points than
+    their cap; called before anything of that size is allocated or enumerated."""
+    cap = 10**5 if unit == "words" else 10**6  # the words of one tensor; the cells or points of one partition or grid
+    if count > cap:
+        raise ValueError(f"{what} needs {count:.3g} {unit}, more than the {cap:.0e} allowed")
+
+
+def _word_count(d: int, level: int) -> float:
+    """d^0 + … + d^level, the words of a tensor over d letters (inf past level 63, beyond any cap)."""
+    return level + 1 if d < 2 else (d ** (level + 1) - 1) // (d - 1) if level < 64 else math.inf
+
+
 def hoelder_level(gamma: float) -> int:
     """Truncation level N_γ = ⌊1/γ⌋ for Hölder exponent γ ∈ (0, 1].
 
@@ -338,6 +351,7 @@ class GeometricRoughPath:
         for k, entry in enumerate(entries):
             if (int(entry["d"]), int(entry["level"])) != (d, level):
                 raise ValueError(f"basepoint {k} has d={entry['d']}, level={entry['level']}; want {d}, {level}")
+        _check_size(f"level {level} over d = {d} letters", _word_count(d, level), "words")
         index = _letter_index(d, level)
         rows = np.repeat(np.arange(len(entries)), [len(entry["terms"]) for entry in entries])
         terms = [term for entry in entries for term in entry["terms"]]
@@ -420,6 +434,7 @@ def solve_partition(driver: GeometricRoughPath, s: float, t: float, mesh: float)
         raise ValueError("mesh must be positive")
     if t == s:
         return np.array([s])
+    _check_size(f"mesh {mesh!r} on [{s!r}, {t!r}]", (t - s) / mesh, "cells")
     n_cells = max(1, int(math.ceil((t - s) / mesh - 1e-12)))
     base = np.linspace(s, t, n_cells + 1)
     knots = driver.times[(driver.times > s + 1e-12) & (driver.times < t - 1e-12)]

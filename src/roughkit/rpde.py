@@ -40,7 +40,7 @@ from .rde import (
     DerivedFieldTable,
     VectorFieldSystem,
     WordArrays,
-    _ragged_steps,
+    _davie_steps,
     as_batch,
     derive_fields,
     solve_rde,
@@ -79,10 +79,10 @@ def solve_transport(
 ) -> np.ndarray:
     """u(s, x) = g(X^{s,x}_T) for each query, by flow solves.
 
-    All queries are stepped as one ragged batch (``_ragged_steps``), each on
-    its start's partition against its own increment, with one table
-    evaluation per step; queries at s = T return g(x) exactly.  A start
-    outside [0, T] or a blow-up names the query (and the cell)."""
+    All queries are stepped as one batch (``rde._davie_steps``), each on its
+    start's partition, with one table evaluation per step; queries at s = T
+    return g(x) exactly.  A start outside [0, T] or a blow-up names the
+    query (and the cell)."""
     driver, horizon, queries = problem.driver, problem.horizon, list(queries)
     if not queries:
         return np.empty(0)
@@ -94,18 +94,15 @@ def solve_transport(
     distinct, owners = np.unique(starts, return_inverse=True)
     partitions = [solve_partition(driver, s, horizon, mesh) for s in distinct]
     table = derive_fields(problem.fields, driver.level)
-    order, steps = _ragged_steps(driver, partitions, owners)
-    xs = xs[order]
-    with np.errstate(invalid="ignore", over="ignore"):
-        for live, g, cell in steps:
-            xs[:live] = np.einsum("aw,aw...->a...", g, table.values_at(xs[:live]).array.swapaxes(0, 1))
-            finite = np.isfinite(xs[:live]).all(axis=1)
-            if not finite.all():
-                q, c = int(order[np.argmin(finite)]), int(cell[np.argmin(finite)])
-                a, b = partitions[owners[q]][c : c + 2]
-                raise NumericalFailure(f"solve_transport: query {q} from s={starts[q]:.6g} blew up on cell "
-                                       f"[{a:.6g}, {b:.6g}]")
-    return problem.terminal.values(xs)[np.argsort(order), 0]
+
+    def blew_up(q: int, c: int) -> str:
+        a, b = partitions[owners[q]][c : c + 2]
+        return f"solve_transport: query {q} from s={starts[q]:.6g} blew up on cell [{a:.6g}, {b:.6g}]"
+
+    ends = _davie_steps(driver, partitions, owners, xs,
+                        lambda rows, g: np.einsum("aw,aw...->a...", g, table.values_at(rows).array.swapaxes(0, 1)),
+                        blew_up)
+    return problem.terminal.values(ends)[:, 0]
 
 
 class FlowSolutionOracle:
