@@ -35,7 +35,10 @@ its set-up, on perfbench's seed-0 fixtures (``perfbench/inputs.py``):
   ``derive_fields`` on its fields at the driver's level, the table every
   ``transport`` and ``continuity`` job builds; and a fresh table with its
   first ``jet_stacks`` at pmax 3 on the 2x2 space grid, which compiles the
-  polynomial jet sweep as every ``verify transport`` job does.
+  polynomial jet sweep as every ``verify transport`` job does; and the
+  graded verifier ``verify_continuity`` as the ``verify continuity`` job
+  runs it (the cloud's evolution pushed at mesh 1/64, the workload's test
+  functions, its 65-point time grid and 6 anchors per scale).
 
 Each row records, over REPEATS subprocesses, the median of the in-process
 seconds, the median wall time of the whole subprocess, and the samples.
@@ -62,7 +65,7 @@ REPEATS = 5
 LAYER_CALLS = {"values_at.point": 400, "solve_rde.cells": 5, "values_at.513": 40, "graded_expansion.compose": 40,
                "fixed_point_residual": 40, "flow_jets.verify_grid": 20, "jet_compose.terminal": 200,
                "solve_transport.queries": 40, "push_measure.cloud": 40, "derive_fields.table": 30,
-               "jet_stacks.fresh": 30}
+               "jet_stacks.fresh": 30, "verify_continuity.grid": 40}
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", ROUGHKIT_THREADS="1",
            PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join([SRC, PERFBENCH]))
 
@@ -112,12 +115,13 @@ def layers(directory: str, name: str) -> dict:
     import inputs
     import workloads
     from roughkit.algebra import expansion_plan
-    from roughkit.cli import _load_measure, _parse_grid, _read_csv, parse_csv
+    from roughkit.cli import _load_measure, _load_phis, _parse_grid, _read_csv, parse_csv
     from roughkit.functions import function_from_json_dict, graded_expansion
     from roughkit.jets import jet_compose, terminal_flow_jets
     from roughkit.rde import derive_fields, solve_rde, system_from_json_dict
     from roughkit.roughpath import PiecewiseLinearPath, lift_pl, solve_partition
     from roughkit.rpde import FlowSolutionOracle, TransportProblem, _select_time_pairs, push_measure, solve_transport
+    from roughkit.rpde import verify_continuity
 
     def load(name: str):
         spec = workloads.WORKLOADS[name]
@@ -155,6 +159,8 @@ def layers(directory: str, name: str) -> dict:
     outer = problem.terminal.deriv_tensors(rows[0], range(oracle.jet_order + 1))
     queries = [(float(r[0]), r[1:]) for r in _read_csv(files_t["query"], lambda text: parse_csv(text, "s"))[1]]
     mu = _load_measure(files_t["mu"])
+    phis = _load_phis(files_t["phis"])
+    evolution = push_measure(system_t, driver_t, mu, time_grid, 1.0 / spec_t["mesh_cells"])
 
     calls = {
         "values_at.point": lambda: table.values_at(x0),
@@ -169,6 +175,8 @@ def layers(directory: str, name: str) -> dict:
                                                    1.0 / spec_t["mesh_cells"]),
         "derive_fields.table": lambda: derive_fields(system_t, driver_t.level),
         "jet_stacks.fresh": lambda: derive_fields(system_t, driver_t.level).jet_stacks(grid, 3),
+        "verify_continuity.grid": lambda: verify_continuity(system_t, driver_t, evolution, phis, time_grid,
+                                                            anchors_per_scale=spec_t["continuity_anchors"]),
     }
     call, seconds = calls[name], []
     call()

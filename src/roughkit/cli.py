@@ -57,15 +57,13 @@ def _positive(kind: type) -> Callable[[str], float | int]:
 def _cmd_sig(args) -> int:
     if args.path is None and args.fbm_hurst is None:
         raise ValueError("sig needs --path or --fbm-hurst")
-    if args.path is not None:
-        path = _read_csv(args.path, PiecewiseLinearPath.from_csv)
-    else:
-        path = sample_fbm(
-            H=args.fbm_hurst, d=args.fbm_dim, knots=args.fbm_knots,
-            seed=args.seed, horizon=args.horizon,
-        )
-    d, level = path.dim, hoelder_level(args.gamma) if args.level is None else args.level
-    _check_size(f"level {level} (--level, or 1/--gamma) over d = {d} letters", _word_count(d, level), "words")
+    level = hoelder_level(args.gamma) if args.level is None else args.level
+    path = None if args.path is None else _read_csv(args.path, PiecewiseLinearPath.from_csv)
+    d, letters = (args.fbm_dim, f"--fbm-dim {args.fbm_dim}") if path is None else (path.dim, f"d = {path.dim}")
+    _check_size(f"level {level} (--level, or 1/--gamma) over {letters} letters", _word_count(d, level), "words")
+    if path is None:  # both sizes of the sample are bounded before it is drawn
+        _check_size(f"--fbm-knots {args.fbm_knots}", args.fbm_knots, "knots")
+        path = sample_fbm(H=args.fbm_hurst, d=d, knots=args.fbm_knots, seed=args.seed, horizon=args.horizon)
     with np.errstate(over="ignore", invalid="ignore"):  # to_json names a knot that overflowed
         rough = lift_pl(path, gamma=args.gamma, level=level)
     _write_text(args.out, rough.to_json() + "\n")
@@ -95,7 +93,7 @@ function JSON   {"family": "polynomial", "n_in": int,
 phis JSON       {"phis": [function, ...]}
 query CSV       header `s,x1,...,xn`
 particles CSV   header `w,x1,...,xn` (weights first)
-report JSON     {"config", "config_hash", "checks": [...], "passed"}
+report JSON     {"config", "config_hash", "checks": [{"slope": float | null, "exact": bool, ...}, ...], "passed"}
 """
 
 

@@ -7,12 +7,14 @@ word-indexed remainders
     R_w(s,t) = ⟨e_w*, X_t⟩ − ⟨W_{st} ⋆ e_w*, X_s⟩
              = ⟨e_w*, X_t⟩ − Σ_{|v| ≤ N−1−|w|} ⟨e_{vw}*, X_s⟩⟨W_{st}, e_v⟩
 
-must vanish at order (N−|w|)γ; the library certifies this on grids by
-log-log order regression.  (Note that the dual convolution prepends the
-increment's word: e_v* ⋆ e_w* = e_{vw}*.)  Composition with a smooth
-function and the compensated-Riemann-sum rough integral are implemented
-exactly in the graded forms used throughout: sums over deshuffle tuples
-are weighted by their shuffle multiplicities.
+must vanish at order (N−|w|)γ.  ``_remainder_checks`` certifies this by
+log-log order regression on grids, here and in every forward graded check,
+whose solutions are controlled paths: φ(X) in ``rde.ito_check`` and
+r ↦ ρ_r(Γ_wφ) in ``rpde.verify_continuity``.  (Note that the dual
+convolution prepends the increment's word: e_v* ⋆ e_w* = e_{vw}*.)
+Composition with a smooth function and the compensated-Riemann-sum rough
+integral are implemented exactly in the graded forms used throughout: sums
+over deshuffle tuples are weighted by their shuffle multiplicities.
 
 Controlled paths are immutable; composition and integration are pure.
 Interval summation is sequential (hence trivially reproducible for a fixed
@@ -213,6 +215,15 @@ def _remainders(X: ControlledPath, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return X.stacked[j] - graded_shift(incs, X.stacked[i], X.dim, X.order - 1, prepend=True)
 
 
+def _remainder_checks(prefix: str, X: ControlledPath, i, j, scale_ids, margin: float) -> dict[Word, OrderCheck]:
+    """``order_checks`` named ``prefix[w]`` of the largest |R_w(t_i, t_j)| over the width against (order−|w|)γ,
+    for index arrays i and j grouped by ``scale_ids``: every forward graded check of the library."""
+    words = words_up_to(X.dim, X.order - 1)
+    defects = np.abs(_remainders(X, i, j)).max(axis=2)
+    thresholds = [(X.order - len(w)) * X.reference.gamma for w in words]
+    return order_checks(prefix, words, defects, X.times[j] - X.times[i], scale_ids, thresholds, margin)
+
+
 class ControlledNorms(NamedTuple):
     seminorm: float
     norm: float
@@ -258,11 +269,7 @@ def check_controlled(
     scales cannot certify and fails.
     """
     scales = dyadic_pairs(len(X.times), max_scales=max_scales, min_pairs=min_pairs)
-    i, j, scale_ids = pair_arrays([pairs for _, pairs in scales])
-    words = words_up_to(X.dim, X.order - 1)
-    defects = np.abs(_remainders(X, i, j)).max(axis=2)
-    thresholds = [(X.order - len(w)) * X.reference.gamma for w in words]
-    return order_checks("remainder", words, defects, X.times[j] - X.times[i], scale_ids, thresholds, margin)
+    return _remainder_checks("remainder", X, *pair_arrays([pairs for _, pairs in scales]), margin)
 
 
 # ---------------------------------------------------------------------------

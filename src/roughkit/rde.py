@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import EMPTY_WORD, GroupTensor, Word, _letter_index, words_up_to
-from .controlled import ControlledPath, compose, rough_integral
+from .controlled import ControlledPath, _remainder_checks, _remainders, compose, rough_integral
 from .errors import NumericalFailure
 from .functions import (
     MonomialSweep,
@@ -51,9 +51,9 @@ from .functions import (
     poly_mul,
     product_partial,
 )
-from .regression import SLOPE_MARGIN, OrderCheck, dyadic_pairs, order_checks, pair_arrays
+from .regression import SLOPE_MARGIN, OrderCheck, dyadic_pairs, pair_arrays
 from .roughpath import GeometricRoughPath
-from .shuffles import deshuffles, expansion_gathers, expansion_plan, graded_shift
+from .shuffles import deshuffles, expansion_gathers, expansion_plan
 
 
 class VectorFieldSystem:
@@ -599,28 +599,19 @@ def ito_check(
     Davie expansion from time s has order (N_γ+1−|w|)γ, estimated per word
     by dyadic regression with scale-wise mean aggregation.
     """
-    driver = solution.driver
-    n_gamma = driver.hoelder_level
-    phi.require_order(n_gamma + 1, "ito_check")
-    values = compose(phi, solution.path).stacked  # ⟨e_w*, Φ(X)⟩ = Γ_wφ(X_t)
-    times = solution.times
+    phi.require_order(solution.driver.hoelder_level + 1, "ito_check")
+    lift = compose(phi, solution.path)  # ⟨e_w*, Φ(X)⟩ = Γ_wφ(X_t), controlled of order N_γ+1
 
-    # Expansions along the flow compose the new letters outermost: the
-    # ⟨W_{st}, e_v⟩ coefficient of Γ_wφ(X_t) is Γ_{vw}φ(X_s).
+    # Expansions along the flow compose the new letters outermost (Γ_{vw}φ(X_s) is the ⟨W_{st}, e_v⟩
+    # coefficient of Γ_wφ(X_t)), so the graded defects are the lift's controlled remainders.
     residual = float("nan")
     if identity:
         # Γ_iφ(X) has Gubinelli derivative Γ_{v·i}φ(X) at v, and u ≠ ε is one v·i: the ε
         # row less φ(X_a) is the cell's compensated sum Σ_i Σ_v Γ_{v·i}φ(X_a)⟨W_ab, e_{v·i}⟩.
-        cells = driver.increments(times[:-1], times[1:]).tensor.array
-        steps = values[1:, 0] - graded_shift(cells, values[:-1], driver.dim, n_gamma, prepend=True)[:, 0]
-        residual = float(np.max(np.abs(np.cumsum(steps, axis=0))))
-
-    i, j, scale_ids = pair_arrays([pairs for _, pairs in dyadic_pairs(len(times), min_pairs=8)])
-    incs = driver.increments(times[i], times[j]).tensor.array
-    defects = np.abs(values[j] - graded_shift(incs, values[i], driver.dim, n_gamma, prepend=True)).max(axis=2)
-    words = words_up_to(driver.dim, n_gamma)
-    thresholds = [(n_gamma + 1 - len(w)) * driver.gamma for w in words]
-    graded = order_checks("ito", words, defects, times[j] - times[i], scale_ids, thresholds, margin)
+        cells = np.arange(len(lift.times) - 1)
+        residual = float(np.max(np.abs(np.cumsum(_remainders(lift, cells, cells + 1)[:, 0], axis=0))))
+    scales = dyadic_pairs(len(lift.times), min_pairs=8)
+    graded = _remainder_checks("ito", lift, *pair_arrays([pairs for _, pairs in scales]), margin)
     return ItoReport(identity_residual=residual, graded=graded)
 
 

@@ -49,7 +49,7 @@ class OrderFit:
 
 @dataclass(frozen=True)
 class OrderCheck:
-    """One graded order check: fitted slope vs threshold with pass margin."""
+    """One graded order check: fitted slope vs threshold with pass margin (in JSON, a slope not finite is null)."""
 
     name: str
     slope: float
@@ -63,7 +63,8 @@ class OrderCheck:
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "slope": self.slope,
+            "slope": self.slope if np.isfinite(self.slope) else None,
+            "exact": self.slope == float("inf"),
             "threshold": self.threshold,
             "margin": self.margin,
             "two_sided": self.two_sided,

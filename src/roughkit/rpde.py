@@ -14,9 +14,12 @@ every word w up to N_γ,
   continuity: ρ_t(Γ_w φ)  ≈ Σ_{|v| ≤ N_γ−|w|} ρ_s(Γ_{wv} φ) ⟨W_{st}, e_v⟩
 
 with remainder order (N_γ+1−|w|)γ.  The verifiers here evaluate those
-defects on supplied grids ("uniformly on compacts" is realized as a max
-over the space grid, "uniformly in φ" as a max over the supplied test
-family) and regress the orders scale by scale.  Spatial derivatives of the
+defects on supplied grids ("uniformly on compacts" is realized as a max over
+the space grid, "uniformly in φ" as a max over the supplied test family) and
+regress the orders scale by scale.  Continuity's defects are the controlled
+remainders of r ↦ ρ_r(Γ_wφ) (``controlled._remainder_checks``); transport's
+run backward (letters appended, read at t), so they keep a tail of their own
+rather than a branch in the shared check.  Spatial derivatives of the
 flow-built solution come from flow jets chained into the terminal data by
 the higher-order chain rule, never from finite differences.
 
@@ -33,6 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import Word, words_up_to
+from .controlled import ControlledPath, _remainder_checks
 from .errors import NumericalFailure
 from .functions import JetFunction, SmoothFunction, graded_expansion
 from .jets import jet_compose, terminal_flow_jets
@@ -218,11 +222,13 @@ MIN_SCALE_PAIRS = 4
 
 
 def _select_time_pairs(time_grid: np.ndarray, anchors_per_scale: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dyadic-stride pairs on the time grid with at least ``MIN_SCALE_PAIRS``
-    per scale, subsampled to bound work, as index arrays (i, j) and each
-    pair's scale id."""
+    """Dyadic-stride pairs on the time grid with at least ``MIN_SCALE_PAIRS`` per scale, subsampled to bound
+    work, as index arrays (i, j) and each pair's scale id; both verifiers' one check that the grid increases."""
     if anchors_per_scale < 1:
         raise ValueError(f"need at least one time pair per scale, got {anchors_per_scale}")
+    bad = np.flatnonzero(~(np.diff(time_grid) > 0)) + 1
+    if len(bad):
+        raise ValueError(f"time grid must increase strictly, but index {bad[0]} ({time_grid[bad[0]]:.6g}) does not")
     scales = []
     for stride, pairs in dyadic_pairs(len(time_grid), min_pairs=MIN_SCALE_PAIRS):
         if len(pairs) > anchors_per_scale:
@@ -429,14 +435,10 @@ def verify_continuity(
     weighted = np.concatenate([m.weights for m in measures])[:, None, None] * gamma
     pairings = np.add.reduceat(weighted, firsts, axis=0)
 
-    # Forward expansion: new letters act outermost, so
-    # ρ_t(Γ_wφ) ≈ Σ_v ⟨W_{st}, e_v⟩ ρ_s(Γ_{vw}φ), read at s.
-    incs = driver.increments(time_grid[i], time_grid[j]).tensor.array
-    rhs = graded_shift(incs, pairings[rows[: len(i)]], driver.dim, n_gamma, prepend=True)
-    defects = np.abs(pairings[rows[len(i) :]] - rhs).max(axis=2)
-    thresholds = [(n_gamma + 1 - len(w)) * driver.gamma for w in words]
-    checks = order_checks("continuity", words, defects, time_grid[j] - time_grid[i], scale_ids, thresholds, margin)
-    return GradedReport(checks)
+    # Forward expansion: new letters act outermost, so ρ_t(Γ_wφ) ≈ Σ_v ⟨W_{st}, e_v⟩ ρ_s(Γ_{vw}φ), read at
+    # s: r ↦ ρ_r(Γ_wφ) is controlled of order N_γ+1, and the defects are its remainders.
+    lift = ControlledPath(driver, n_gamma + 1, len(phis), time_grid[needed], pairings)
+    return GradedReport(_remainder_checks("continuity", lift, rows[: len(i)], rows[len(i) :], scale_ids, margin))
 
 
 class DualityReport(NamedTuple):

@@ -106,7 +106,7 @@ def criterion_deshuffle_scan(max_len: int = 5, d: int = 3) -> list[CheckResult]:
     length and expands its shuffle product; a tuple using a letter outside
     the target's alphabet cannot contribute, so scanning d=3 covers d <= 3.
     """
-    support: dict[int, dict[tuple[Word, ...], dict[Word, int]]] = {}
+    support: dict[tuple[Word, ...], dict[Word, int]] = {}  # each scanned tuple's support, for the weight check
 
     def tuple_support(parts: tuple[Word, ...]) -> dict[Word, int]:
         acc: dict[Word, int] = {parts[0]: 1}
@@ -129,7 +129,8 @@ def criterion_deshuffle_scan(max_len: int = 5, d: int = 3) -> list[CheckResult]:
             for comp in compositions:
                 pools = [words_of_length(d, p) for p in comp]
                 for parts in itertools.product(*pools):
-                    for w, mult in tuple_support(parts).items():
+                    support[parts] = tuple_support(parts)
+                    for w, mult in support[parts].items():
                         if mult != 0:
                             scan.setdefault(w, set()).add(parts)
             for w in words_of_length(d, length):
@@ -140,7 +141,7 @@ def criterion_deshuffle_scan(max_len: int = 5, d: int = 3) -> list[CheckResult]:
                     mismatches.append(f"w={w}, k={k}")
                 else:
                     for parts in table.tuples:
-                        if table.weights[parts] != tuple_support(parts).get(w, 0):
+                        if table.weights[parts] != support[parts].get(w, 0):
                             mismatches.append(f"weight w={w}, parts={parts}")
     return [
         _result("2-deshuffle", f"support-scan equality ({checked} word/arity cases)",

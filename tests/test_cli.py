@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from roughkit.cli import main
-from roughkit.roughpath import sample_fbm
+from roughkit.roughpath import PiecewiseLinearPath, sample_fbm
 
 
 @pytest.fixture
@@ -151,6 +151,31 @@ def test_verify_transport_report(workspace, tmp_path):
     blob = report_path.read_bytes()
     assert main(args) == 0
     assert report_path.read_bytes() == blob
+
+
+def test_verify_report_of_an_exact_fit_is_strict_json(tmp_path):
+    """Constant fields and affine terminal data leave every transport defect
+    at float noise, so each check is an exact fit: its slope is written as
+    null, with ``exact`` true, never as the non-standard ``Infinity``."""
+    ts = np.linspace(0.0, 1.0, 9)
+    files = {"path.csv": PiecewiseLinearPath(ts, np.column_stack([np.sin(3 * ts), ts**2])).to_csv()}
+    constants = [{"family": "affine", "matrix": [[0.0, 0.0], [0.0, 0.0]], "offset": offset}
+                 for offset in ([0.5, 0.0], [0.0, -0.25])]
+    files["fields.json"] = json.dumps({"n": 2, "d": 2, "fields": constants})
+    files["terminal.json"] = json.dumps({"family": "affine", "matrix": [[1.0, 2.0]], "offset": [0.5]})
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    driver, report = tmp_path / "driver.json", tmp_path / "report.json"
+    assert main(["sig", "--path", str(tmp_path / "path.csv"), "--gamma", "0.5", "--out", str(driver)]) == 0
+    assert main(["verify", "transport", "--driver", str(driver), "--fields", str(tmp_path / "fields.json"),
+                 "--terminal", str(tmp_path / "terminal.json"), "--report", str(report)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(report.read_text(), parse_constant=refuse)
+    assert payload["passed"] is True
+    assert [(c["slope"], c["exact"]) for c in payload["checks"]] == [(None, True)] * 7
 
 
 def test_verify_continuity_report(workspace, tmp_path):

@@ -1,9 +1,11 @@
 """Sizes read from input are bounded before anything of that size exists.
 
-A (d, N) pair (``sig --level`` or ``--gamma``, ``verify --solve-level``, a
-driver JSON's ``level``) is checked by its word count, and a count of cells
-or points (the mesh's cells, ``--time-points``, the ``--space-grid``
-counts) by itself.  Each case exits 2 with a message naming the option or
+A (d, N) pair (``sig --level`` or ``--gamma`` over the path's or
+``--fbm-dim``'s letters, ``verify --solve-level``, a driver JSON's
+``level``) is checked by its word count, and a count of knots, cells or
+points (``sig --fbm-knots``, the mesh's cells, ``--time-points``, the
+``--space-grid`` counts) by itself; an fBm sample's sizes are checked
+before it is drawn.  Each case exits 2 with a message naming the option or
 the file and the value.  Every size here is computed, never allocated: a
 spy fails the test if words of a level above 10 are ever enumerated or
 counted out.
@@ -73,6 +75,11 @@ CASES = {
                     ["level 40 (--level", "2.2e+12 words"]),
     "sig --gamma": (lambda f: ["sig", "--path", f["path.csv"], "--gamma", "1e-9", "--out", f["out"]],
                     ["level 999999999 (--level, or 1/--gamma)", "inf words"]),
+    "sig --fbm-knots": (lambda f: ["sig", "--fbm-hurst", "0.5", "--gamma", "0.3", "--fbm-knots", "10000000",
+                                   "--out", f["out"]], ["--fbm-knots 10000000", "1e+07 knots"]),
+    "sig --fbm-dim": (lambda f: ["sig", "--fbm-hurst", "0.5", "--gamma", "0.3", "--fbm-dim", "100000",
+                                 "--fbm-knots", "2", "--out", f["out"]],
+                      ["over --fbm-dim 100000 letters", "1e+15 words"]),
     "driver level": (lambda f: ["rde", "--driver", f["deep.json"], "--fields", f["fields.json"], "--x0", "0,0",
                                 "--out", f["out"]], ["deep.json", "level 40 over d = 2 letters"]),
     "--solve-level": (lambda f: verify(f, "transport", "--solve-level", "40"), ["--solve-level 40", "words"]),
@@ -104,3 +111,9 @@ def test_the_caps_are_1e5_words_and_1e6_cells_or_points():
         _check_size("a partition", 10**6 + 0.5, "cells")
     assert _word_count(2, 15) == 2**16 - 1 and _word_count(3, 10) == (3**11 - 1) // 2
     assert _word_count(1, 7) == 8 and _word_count(2, 64) == math.inf
+
+
+def test_an_fbm_sample_is_capped_at_4097_knots():
+    _check_size("a sample", 2**12 + 1, "knots")
+    with pytest.raises(ValueError, match=r"^a sample needs 4\.1e\+03 knots, more than the 4097 allowed$"):
+        _check_size("a sample", 2**12 + 2, "knots")

@@ -1,5 +1,7 @@
 """Tests for the order-estimation helpers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,12 @@ def test_dyadic_pairs_disjoint_and_bounded():
         assert starts == sorted(starts)
         assert len(ps) >= 8
     assert dyadic_pairs(1) == []
+
+
+def test_json_writes_a_slope_that_is_not_finite_as_null():
+    exact = check_order("x", [0.5, 0.25], [1e-15, 1e-16], threshold=2.0)
+    uncertified = check_order("x", [0.5], [0.1], threshold=1.0)
+    fitted = check_order("x", [0.5, 0.25], [0.5**1.5, 0.25**1.5], threshold=1.0)
+    assert exact.slope == np.inf and np.isnan(uncertified.slope)
+    got = [json.loads(json.dumps(c.to_json_dict(), allow_nan=False)) for c in (exact, uncertified, fitted)]
+    assert [(c["slope"], c["exact"]) for c in got] == [(None, True), (None, False), (fitted.slope, False)]
